@@ -1,8 +1,9 @@
 """Counting canonical words rank by rank.
 
-The depth-first census visits each canonical word once, pruned by two
-bitmasks that record which letters still owe their next occurrence a
-smaller or a greater letter.  An independent breadth-first
+Two bitmasks record which letters still owe their next occurrence a
+smaller or a greater letter.  Prefixes with equal bitmasks have the same
+canonical extensions, so the census counts extensions per bitmask state
+and never lists a word.  An independent breadth-first
 generate-and-filter pass over the defining gap condition must agree
 exactly, length by length.
 """
@@ -38,9 +39,13 @@ def main() -> None:
         print(f"  rank {n}: {'exact match' if same else 'MISMATCH'} ({b.total} words)")
 
     print()
-    print("the same census with a worker pool (identical by construction):")
-    c = count(MAX_RANK, jobs=4)
-    print(f"  rank {MAX_RANK} with 4 jobs: {c.total}")
+    print("ranks past the reach of any walk over words:")
+    for n in range(MAX_RANK + 1, 11):
+        start = time.perf_counter()
+        c = count(n)
+        elapsed = time.perf_counter() - start
+        longest = c.by_length[c.max_length]
+        print(f"  rank {n:>2}: {c.total} words, {longest} of length {c.max_length} ({elapsed:.3f}s)")
 
 
 if __name__ == "__main__":

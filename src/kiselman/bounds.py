@@ -1,11 +1,11 @@
 """Exact evaluation of growth bounds and combinatorial identities.
 
 Every holds/fails decision is an integer or rational comparison; floats
-appear only in presentation values (the scaled logarithms) and in one
-explicitly slack-bounded companion check.  Where a bound involves pi in a
-denominator, pi is replaced by the larger rational 355/113, which makes
-the checked inequality strictly stronger than the original.  Logarithms
-are base 2 throughout.
+appear only in presentation values (the scaled logarithms and the odd
+exponent c * 2^(n/2)).  Where a bound involves pi in a denominator, pi is
+replaced by the larger rational 355/113, which makes the checked
+inequality strictly stronger than the original.  Logarithms are base 2
+throughout.
 """
 
 from __future__ import annotations
@@ -186,21 +186,23 @@ def odd_upper_bound_exponent(n: int) -> float:
     return ODD_EXPONENT_CONSTANT * 2 ** (n / 2)
 
 
-def odd_exponent_check(n: int, slack: float = 1e-6) -> BoundReport:
+def odd_exponent_check(n: int) -> BoundReport:
     """Companion check: log2 of the prefix bound stays below c * 2^(n/2).
 
-    The one floating-point comparison in this module, with an explicit
-    additive slack.
+    For odd n, c * 2^(n/2) = log2(432) * 2^((n-1)/2), so the check is
+    decided exactly as prefix_upper_bound(n) <= 432^(2^((n-1)/2)).
     """
-    lhs = math.log2(prefix_upper_bound(n))
-    rhs = odd_upper_bound_exponent(n)
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"need odd n >= 1, got {n}")
+    lhs = prefix_upper_bound(n)
+    rhs = 432 ** (2 ** ((n - 1) // 2))
     return BoundReport(
         name="log2-prefix-bound-below-odd-exponent",
         n_or_k=n,
         lhs=lhs,
         rhs=rhs,
-        holds=lhs <= rhs + slack,
-        note=f"float comparison with slack {slack}",
+        holds=lhs <= rhs,
+        note="exact form: prefix bound <= 432^(2^((n-1)/2))",
     )
 
 

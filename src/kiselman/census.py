@@ -1,25 +1,28 @@
-"""Exhaustive enumeration and counting of canonical words.
+"""Exact enumeration and counting of canonical words.
 
-The generator walks a pruned depth-first tree.  Appending letter x to a
-canonical word stays canonical iff x never occurred or, since its last
-occurrence, both a smaller and a greater letter appeared; prefix closure
-of canonicity makes the pruned walk complete.  The per-letter conditions
-are tracked as two bitmasks (letters still owed a smaller letter, letters
-still owed a greater one), giving O(1) state updates per appended letter.
+Appending letter x to a canonical word keeps it canonical iff x never
+occurred or, since its last occurrence, both a smaller and a greater
+letter appeared; prefix closure of canonicity makes a pruned walk
+complete.  The per-letter conditions are tracked as two bitmasks (letters
+still owed a smaller letter, letters still owed a greater one), giving
+O(1) state updates per appended letter.
 
-A breadth-first extend-and-filter recount, vectorized with numpy and
-driven directly by the defining gap condition, serves as an independent
-cross-check of the depth-first census.
+Two prefixes in the same state have the same canonical extensions, so
+`count` memoizes extension counts by length per state (the
+transfer-matrix method) and lists no word; `longest_census` uses the same
+table to walk only into states that can still reach the maximal length.
+Two independent censuses cross-check it: `iter_canonical`, a depth-first
+walk over every canonical word, and `filtered_recount`, a breadth-first
+extend-and-filter recount vectorized with numpy and driven directly by
+the defining gap condition.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Iterator
-
-import numpy as np
 
 from .reports import BoundReport
 from .words import ResourceGuardError, Word, is_canonical, length_bound
@@ -38,6 +41,8 @@ __all__ = [
 ]
 
 GUARD_RANK = 8
+# counts held by the census table, reachable states times count-vector length
+COUNT_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,42 @@ def _check_rank(n: int, allow_large: bool) -> None:
         )
 
 
+def _check_count_cost(n: int, allow_large: bool) -> None:
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
+    cost = (n * 2**n // 2 + 1) * (length_bound(n) + 1)
+    if cost > COUNT_BUDGET and not allow_large:
+        raise ResourceGuardError(
+            f"rank {n} count refused: its table would hold up to {cost} counts "
+            f"(budget {COUNT_BUDGET}); pass allow_large=True to override"
+        )
+
+
+def _extension_table(n: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Extension counts by length for every state reachable from the empty word.
+
+    Entry l of a state's tuple counts the canonical words of length l that
+    may follow any prefix in that state.  The last entry is never zero, so
+    the tuple's length minus one is the state's longest extension.
+    """
+    masks = _letter_masks(n)
+    table: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def extensions(ns: int, ng: int) -> tuple[int, ...]:
+        found = table.get((ns, ng))
+        if found is None:
+            blocked = ns | ng
+            children = []
+            for bit, keep_ns, keep_ng in masks:
+                if not (blocked & bit):
+                    children.append(extensions((ns & keep_ns) | bit, (ng & keep_ng) | bit))
+            found = table[ns, ng] = (1, *map(sum, zip_longest(*children, fillvalue=0)))
+        return found
+
+    extensions(0, 0)
+    return table
+
+
 def iter_canonical(n: int, *, allow_large: bool = False) -> Iterator[tuple[int, ...]]:
     """Yield every canonical word over rank n exactly once.
 
@@ -143,75 +184,20 @@ def enumerate_canonical(
         visitor(Word(letters, n))
 
 
-def _dfs_by_len(n: int, ns0: int = 0, ng0: int = 0) -> list[int]:
-    # counts by depth below the given state; depth cannot exceed the
-    # length bound (occurrence bounds), so an overflow here fails loudly
-    by_len = [0] * (length_bound(n) + 1)
-    masks = _letter_masks(n)
-
-    def rec(ns: int, ng: int, depth: int) -> None:
-        by_len[depth] += 1
-        blocked = ns | ng
-        d1 = depth + 1
-        for bit, keep_ns, keep_ng in masks:
-            if not (blocked & bit):
-                rec((ns & keep_ns) | bit, (ng & keep_ng) | bit, d1)
-
-    rec(ns0, ng0, 0)
-    return by_len
-
-
-def _subtree_task(args: tuple[int, int, int]) -> list[int]:
-    n, ns, ng = args
-    return _dfs_by_len(n, ns, ng)
-
-
-def _trim(by_len: list[int]) -> dict[int, int]:
-    while by_len and by_len[-1] == 0:
-        by_len.pop()
-    return {l: c for l, c in enumerate(by_len)}
-
-
-def count(n: int, *, jobs: int = 1, allow_large: bool = False) -> Census:
+def count(n: int, *, allow_large: bool = False) -> Census:
     """Exact census of canonical words over rank n.
 
-    With jobs > 1 the search tree is split at a fixed depth into at least
-    8 * jobs independent subtrees whose counts are merged by addition, so
-    the result is identical for any degree of parallelism.
+    Reads the empty word's extension counts from the state table, so the
+    cost follows the n * 2^(n-1) + 1 reachable states times the length
+    bound rather than the number of words.
     """
-    _check_rank(n, allow_large)
-    if jobs <= 1:
-        by_len = _dfs_by_len(n)
-    else:
-        masks = _letter_masks(n)
-        bound = length_bound(n)
-        by_len = [0] * (bound + 1)
-        level: list[tuple[int, int]] = [(0, 0)]
-        depth = 0
-        while level and len(level) < 8 * jobs and depth < bound:
-            by_len[depth] += len(level)
-            nxt = []
-            for ns, ng in level:
-                blocked = ns | ng
-                for bit, keep_ns, keep_ng in masks:
-                    if not (blocked & bit):
-                        nxt.append(((ns & keep_ns) | bit, (ng & keep_ng) | bit))
-            level = nxt
-            depth += 1
-        if level:
-            tasks = [(n, ns, ng) for ns, ng in level]
-            with multiprocessing.Pool(jobs) as pool:
-                partials = pool.map(_subtree_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
-            for partial in partials:
-                for rel, c in enumerate(partial):
-                    if c:
-                        by_len[depth + rel] += c
-    by_length = _trim(by_len)
+    _check_count_cost(n, allow_large)
+    by_len = _extension_table(n)[0, 0]
     return Census(
         rank=n,
-        total=sum(by_length.values()),
-        by_length=by_length,
-        max_length=max(by_length),
+        total=sum(by_len),
+        by_length=dict(enumerate(by_len)),
+        max_length=len(by_len) - 1,
     )
 
 
@@ -226,6 +212,8 @@ def filtered_recount(n: int, *, allow_large: bool = False) -> Census:
     depth-first walk.
     """
     _check_rank(n, allow_large)
+    import numpy as np
+
     by_length = {0: 1}
     level = np.zeros((1, 0), dtype=np.int16)
     length = 0
@@ -267,31 +255,37 @@ def filtered_recount(n: int, *, allow_large: bool = False) -> Census:
 
 
 def longest_census(n: int, *, allow_large: bool = False) -> LongestCensus:
-    """All canonical words of maximal length, in lexicographic order."""
+    """All canonical words of maximal length, in lexicographic order.
+
+    Walks depth-first with children in increasing letter order and enters a
+    child only if its longest extension still reaches the maximal length.
+    """
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
     _check_rank(n, allow_large)
+    table = _extension_table(n)
     masks = _letter_masks(n)
-    best = 0
-    bucket: list[tuple[int, ...]] = []
+    best = len(table[0, 0]) - 1
+    words: list[tuple[int, ...]] = []
     path: list[int] = []
-    stack = [(1, x, bit, bit) for x, (bit, _, _) in zip(range(n, 0, -1), reversed(masks))]
-    while stack:
-        depth, letter, ns, ng = stack.pop()
-        del path[depth - 1 :]
-        path.append(letter)
-        if depth > best:
-            best = depth
-            bucket = [tuple(path)]
-        elif depth == best:
-            bucket.append(tuple(path))
+
+    def walk(ns: int, ng: int) -> None:
+        if len(path) == best:
+            words.append(tuple(path))
+            return
         blocked = ns | ng
-        child_depth = depth + 1
-        for x in range(n, 0, -1):
-            bit, keep_ns, keep_ng = masks[x - 1]
+        for x, (bit, keep_ns, keep_ng) in enumerate(masks, 1):
             if not (blocked & bit):
-                stack.append((child_depth, x, (ns & keep_ns) | bit, (ng & keep_ng) | bit))
-    return LongestCensus(rank=n, max_length=best, count=len(bucket), words=tuple(bucket))
+                child = ((ns & keep_ns) | bit, (ng & keep_ng) | bit)
+                # the path, the letter x and the child's longest
+                # extension, len(table[child]) - 1, must fill `best`
+                if len(path) + len(table[child]) == best:
+                    path.append(x)
+                    walk(*child)
+                    path.pop()
+
+    walk(0, 0)
+    return LongestCensus(rank=n, max_length=best, count=len(words), words=tuple(words))
 
 
 def verify_odd_structure(n: int, *, allow_large: bool = False) -> BoundReport:
@@ -399,7 +393,3 @@ def verify_lower_bound_construction(n: int, *, allow_large: bool = False) -> Bou
         holds=holds,
         note=f"{len(composites)} distinct composites, {failures} non-canonical",
     )
-
-
-def with_longest_count(census: Census, longest: LongestCensus) -> Census:
-    return replace(census, longest_count=longest.count)

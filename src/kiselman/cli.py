@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, bounds, census, verify
@@ -78,11 +79,11 @@ def _census_from_entry(rank: int, entry: dict) -> census.Census:
     )
 
 
-def _selfcheck(cache: dict, jobs: int, allow_large: bool) -> list[str]:
+def _selfcheck(cache: dict, allow_large: bool) -> list[str]:
     mismatches = []
     for rank_str, entry in sorted(cache["entries"].items(), key=lambda kv: int(kv[0])):
         rank = int(rank_str)
-        fresh = census.count(rank, jobs=jobs, allow_large=allow_large)
+        fresh = census.count(rank, allow_large=allow_large)
         if _entry_from_census(fresh, 0.0)["by_length"] != entry["by_length"] or str(
             fresh.total
         ) != entry["count"]:
@@ -121,7 +122,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     path = _cache_path(args.cache)
     cache = _load_cache(path)
     if args.selfcheck:
-        mismatches = _selfcheck(cache, args.jobs, args.allow_large)
+        mismatches = _selfcheck(cache, args.allow_large)
         if mismatches:
             for line in mismatches:
                 print(f"cache mismatch: {line}", file=sys.stderr)
@@ -132,18 +133,18 @@ def cmd_count(args: argparse.Namespace) -> int:
         result = _census_from_entry(args.rank, entry)
     else:
         start = time.perf_counter()
-        result = census.count(args.rank, jobs=args.jobs, allow_large=args.allow_large)
+        result = census.count(args.rank, allow_large=args.allow_large)
         cache["entries"][str(args.rank)] = _entry_from_census(result, time.perf_counter() - start)
         _write_cache(path, cache)
     if args.longest:
-        longest = census.longest_census(args.rank, allow_large=args.allow_large)
-        result = census.with_longest_count(result, longest)
+        # the number of maximal words is the top coefficient of the census
+        result = replace(result, longest_count=result.by_length[result.max_length])
     sys.stdout.write(result.to_json())
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = verify.run_suite(args.suite, max_n=args.max_n, jobs=args.jobs)
+    reports = verify.run_suite(args.suite, max_n=args.max_n)
     if args.format == "csv":
         sys.stdout.write(reports_to_csv(reports))
     else:
@@ -165,10 +166,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
-def _table_rows(max_n: int, jobs: int) -> list[dict]:
+def _table_rows(max_n: int) -> list[dict]:
     rows = []
     for n in range(max_n + 1):
-        total = census.count(n, jobs=jobs).total
+        total = census.count(n).total
         rows.append(
             {
                 "n": n,
@@ -184,7 +185,7 @@ def _table_rows(max_n: int, jobs: int) -> list[dict]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = _table_rows(args.max_n, args.jobs)
+    rows = _table_rows(args.max_n)
     big = ("count", "lower_bound", "prefix_upper_bound", "km_upper_bound")
     if args.format == "json":
         payload = [
@@ -240,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include the per-length breakdown (included by default; flag kept for scripts)",
     )
     p.add_argument("--longest", action="store_true", help="also count words of maximal length")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (result is identical)")
     p.add_argument("--cache", help=f"cache file (default ./{DEFAULT_CACHE_NAME}, or ${CACHE_ENV_VAR})")
     p.add_argument("--force", action="store_true", help="recompute even on a cache hit")
     p.add_argument(
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-large",
         action="store_true",
-        help="override the resource guard on rank >= 8",
+        help="override the resource guard on the size of the census table",
     )
     p.set_defaults(func=cmd_count)
 
@@ -263,13 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", type=int, default=6, help="largest rank to enumerate")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="per-rank counts, bounds and scaled logs")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_table)
 
     return parser

@@ -31,14 +31,14 @@ def reducer_suite(max_n: int = 6) -> list[BoundReport]:
     ]
 
 
-def bounds_suite(max_n: int = 6, jobs: int = 1) -> list[BoundReport]:
+def bounds_suite(max_n: int = 6) -> list[BoundReport]:
     """Sandwich every enumerated count between the proved bounds.
 
     Exact integer comparisons throughout: the double-exponential lower
     bound, both upper bounds, the even-rank cap, the doubling recursion
     and the parity-limit estimates.
     """
-    counts = {n: census.count(n, jobs=jobs).total for n in range(max_n + 1)}
+    counts = {n: census.count(n).total for n in range(max_n + 1)}
     reports = []
     for n, c in counts.items():
         lo = bounds.lower_bound(n)
@@ -193,24 +193,24 @@ def structure_suite(max_n: int = 6) -> list[BoundReport]:
     return reports
 
 
-def run_suite(suite: str, max_n: int = 6, jobs: int = 1) -> list[BoundReport]:
+def run_suite(suite: str, max_n: int = 6) -> list[BoundReport]:
     if suite == "reducer":
         return reducer_suite(max_n)
     if suite == "bounds":
-        return bounds_suite(max_n, jobs)
+        return bounds_suite(max_n)
     if suite == "identities":
         return identities_suite(max_n)
     if suite == "structure":
         return structure_suite(max_n)
     if suite == "all":
-        return run_all(max_n, jobs)
+        return run_all(max_n)
     raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
 
 
-def run_all(max_n: int = 6, jobs: int = 1) -> list[BoundReport]:
+def run_all(max_n: int = 6) -> list[BoundReport]:
     reports = []
     for suite in SUITES:
-        reports.extend(run_suite(suite, max_n, jobs))
+        reports.extend(run_suite(suite, max_n))
     return reports
 
 

@@ -123,8 +123,13 @@ def test_odd_exponent():
     assert odd_upper_bound_exponent(1) == ODD_EXPONENT_CONSTANT * math.sqrt(2)
     with pytest.raises(ValueError):
         odd_upper_bound_exponent(4)
-    for n in (1, 3, 5, 7, 9):
-        assert odd_exponent_check(n).holds
+    for n in range(1, 16, 2):
+        report = odd_exponent_check(n)
+        assert report.holds
+        assert report.rhs == 432 ** (2 ** ((n - 1) // 2))
+        assert isinstance(report.lhs, int)
+    with pytest.raises(ValueError):
+        odd_exponent_check(4)
 
 
 def test_monotone_sequence():

@@ -1,9 +1,14 @@
 import itertools
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from kiselman.bounds import km_upper_bound, lower_bound, prefix_upper_bound
 from kiselman.census import (
     Census,
+    _extension_table,
+    _letter_masks,
     count,
     enumerate_canonical,
     filtered_recount,
@@ -12,7 +17,6 @@ from kiselman.census import (
     verify_lower_bound_construction,
     verify_odd_structure,
     verify_subalphabet_embedding,
-    with_longest_count,
 )
 from kiselman.words import ResourceGuardError, Word, is_canonical, length_bound
 
@@ -95,9 +99,55 @@ def test_complement_symmetry():
         assert {tuple(n + 1 - x for x in w) for w in words} == words
 
 
-def test_parallel_count_is_identical():
-    for jobs in (2, 3):
-        assert count(5, jobs=jobs) == count(5)
+def _forward_by_length(n):
+    # second formulation of the census DP: breadth-first over
+    # state -> number-of-prefixes maps, one map per length
+    masks = _letter_masks(n)
+    level = {(0, 0): 1}
+    by_length = {}
+    while level:
+        by_length[len(by_length)] = sum(level.values())
+        nxt = Counter()
+        for (ns, ng), c in level.items():
+            for bit, keep_ns, keep_ng in masks:
+                if not (ns | ng) & bit:
+                    nxt[(ns & keep_ns) | bit, (ng & keep_ng) | bit] += c
+        level = nxt
+    return by_length
+
+
+def test_dp_matches_walk_and_recount():
+    for n in range(7):
+        walked = Counter(len(w) for w in iter_canonical(n))
+        assert count(n).by_length == dict(walked) == filtered_recount(n).by_length, n
+
+
+def test_dp_matches_forward_formulation():
+    for n in range(11):
+        assert count(n).by_length == _forward_by_length(n), n
+
+
+def test_reachable_state_count():
+    for n in range(1, 11):
+        assert len(_extension_table(n)) == n * 2 ** (n - 1) + 1, n
+
+
+def test_maximal_word_counts_follow_odd_recursion_past_the_walk():
+    f = {n: count(n).by_length[length_bound(n)] for n in (5, 7, 9, 11)}
+    for n in (7, 9, 11):
+        assert f[n] == 2 * f[n - 2] ** 2, n
+
+
+def test_rank_8_count_within_bounds():
+    c = count(8).total
+    assert lower_bound(8) <= c <= min(prefix_upper_bound(8), km_upper_bound(8))
+    assert 2 * c >= (2 * KNOWN_TOTALS[6]) ** 2
+
+
+def test_pruned_longest_census_matches_walk():
+    for n in range(1, 7):
+        walked = tuple(w for w in iter_canonical(n) if len(w) == length_bound(n))
+        assert longest_census(n).words == walked, n
 
 
 def test_longest_census():
@@ -140,13 +190,13 @@ def test_lower_bound_construction():
 
 def test_rank_guard():
     with pytest.raises(ResourceGuardError):
-        count(8)
+        count(13)
     with pytest.raises(ResourceGuardError):
         next(iter_canonical(9))
 
 
 def test_census_json_roundtrip():
-    c = with_longest_count(count(3), longest_census(3))
+    c = replace(count(3), longest_count=longest_census(3).count)
     text = c.to_json()
     assert Census.from_json(text).to_json() == text
     plain = count(2).to_json()

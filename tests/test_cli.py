@@ -122,7 +122,7 @@ def test_count_selfcheck_passes(tmp_path, capsys):
 
 
 def test_count_guard_without_allow_large(capsys):
-    assert main(["count", "--rank", "8"]) == 2
+    assert main(["count", "--rank", "13"]) == 2
     assert "allow" in capsys.readouterr().err
 
 
@@ -182,3 +182,12 @@ def test_console_script_is_installed():
         proc = subprocess.run(command, capture_output=True, text=True, env=_package_env())
         assert proc.returncode == 0, f"{command}: {proc.stderr}"
         assert proc.stdout == f"kiselman {kiselman.__version__}\n", f"{command}: {proc.stderr}"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, kiselman.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
