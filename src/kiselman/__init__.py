@@ -28,7 +28,6 @@ from .census import (
     Census,
     LongestCensus,
     count,
-    enumerate_canonical,
     filtered_recount,
     iter_canonical,
     longest_census,
@@ -39,14 +38,11 @@ from .reports import BoundReport, reports_to_csv, reports_to_json
 from .verify import run_all, run_suite
 from .words import (
     CanonicalViolation,
-    LetterStats,
     ResourceGuardError,
     Word,
     canonical_violation,
-    content,
     is_canonical,
     length_bound,
-    occurrence_profile,
 )
 
 __all__ = [
@@ -58,20 +54,16 @@ __all__ = [
     "BoundReport",
     "SequencePoint",
     "CanonicalViolation",
-    "LetterStats",
     "ResourceGuardError",
     "length_bound",
     "is_canonical",
     "canonical_violation",
-    "occurrence_profile",
-    "content",
     "canonical_form",
     "delete_step",
     "multiply",
     "identity",
     "generators",
     "iter_canonical",
-    "enumerate_canonical",
     "count",
     "filtered_recount",
     "longest_census",

@@ -22,16 +22,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .reports import BoundReport
-from .words import ResourceGuardError, Word, is_canonical, length_bound
+from .words import ResourceGuardError, Word, _letter_masks, is_canonical, length_bound
 
 __all__ = [
     "Census",
     "LongestCensus",
     "iter_canonical",
-    "enumerate_canonical",
     "count",
     "filtered_recount",
     "longest_census",
@@ -90,19 +89,6 @@ class LongestCensus:
     @property
     def reaches_bound(self) -> bool:
         return self.max_length == length_bound(self.rank)
-
-
-def _letter_masks(n: int) -> list[tuple[int, int, int]]:
-    # (bit, keep_ns, keep_ng) per letter: appending x clears the
-    # owed-smaller bit of every letter above x and the owed-greater bit of
-    # every letter below x, then marks x as owing both.
-    masks = []
-    for x in range(1, n + 1):
-        bit = 1 << (x - 1)
-        above = sum(1 << (y - 1) for y in range(x + 1, n + 1))
-        below = sum(1 << (y - 1) for y in range(1, x))
-        masks.append((bit, ~above, ~below))
-    return masks
 
 
 def _check_rank(n: int, allow_large: bool) -> None:
@@ -174,14 +160,6 @@ def iter_canonical(n: int, *, allow_large: bool = False) -> Iterator[tuple[int, 
             bit, keep_ns, keep_ng = masks[x - 1]
             if not (blocked & bit):
                 stack.append((child_depth, x, (ns & keep_ns) | bit, (ng & keep_ng) | bit))
-
-
-def enumerate_canonical(
-    n: int, visitor: Callable[[Word], None], *, allow_large: bool = False
-) -> None:
-    """Drive `visitor` over every canonical word of rank n, as Word values."""
-    for letters in iter_canonical(n, allow_large=allow_large):
-        visitor(Word(letters, n))
 
 
 def count(n: int, *, allow_large: bool = False) -> Census:
@@ -304,6 +282,13 @@ def verify_odd_structure(n: int, *, allow_large: bool = False) -> BoundReport:
     _check_rank(n, allow_large)
     outer = longest_census(n, allow_large=allow_large)
     inner = longest_census(n - 2, allow_large=allow_large)
+    return _odd_structure_report(outer, inner)
+
+
+def _odd_structure_report(outer: LongestCensus, inner: LongestCensus) -> BoundReport:
+    # the check itself, on maximal-word censuses of an odd rank n >= 3 and
+    # of n - 2, so that a caller holding both need not build them again
+    n = outer.rank
     inner_shifted = {tuple(x + 1 for x in w) for w in inner.words}
     half = length_bound(n - 2)
     failures: list[str] = []

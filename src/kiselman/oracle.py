@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .reduce import canonical_form
 from .reports import BoundReport
-from .words import ResourceGuardError, Word, is_canonical
+from .words import ResourceGuardError, Word, _first_owed, _letter_masks
 
 __all__ = [
     "CongruenceClass",
@@ -102,22 +103,31 @@ def congruence_closure(
             f"(guard: {max_words}); raise max_words to override"
         )
     words = _universe(n, max_len)
-    index = {w: i for i, w in enumerate(words)}
+    # A word of length l sits at offset[l], the number of shorter words,
+    # plus its value in base n with digits x - 1, so a rewritten word's
+    # index is integer arithmetic on the rewritten digits' weights.
+    power = [n**k for k in range(max_len + 1)]
+    offset = [0, *accumulate(power[:-1])]
     uf = _UnionFind(len(words))
 
     for i, w in enumerate(words):
         ell = len(w)
+        value = i - offset[ell]
         for p in range(ell - 1):
-            if w[p] == w[p + 1]:  # x*x = x
-                uf.union(i, index[w[:p] + w[p + 1 :]])
+            if w[p] == w[p + 1]:  # x*x = x: drop position p
+                r = power[ell - 1 - p]
+                uf.union(i, offset[ell - 1] + value // power[ell - p] * r + value % r)
         for p in range(ell - 2):
             x, y = w[p], w[p + 1]
             if w[p + 2] == x and x != y:
                 # x*y*x equals both the ascending pair and the swapped triple
                 lo, hi = (x, y) if x < y else (y, x)
-                uf.union(i, index[w[:p] + (lo, hi) + w[p + 3 :]])
-                uf.union(i, index[w[:p] + (y, x, y) + w[p + 3 :]])
+                r = power[ell - 3 - p]
+                head = value // power[ell - p]
+                uf.union(i, offset[ell - 1] + (head * n * n + (lo - 1) * n + hi - 1) * r + value % r)
+                uf.union(i, i + (y - x) * (n * n - n + 1) * r)
 
+    masks = _letter_masks(n)
     groups: dict[int, list[tuple[int, ...]]] = {}
     for i, w in enumerate(words):
         groups.setdefault(uf.find(i), []).append(w)
@@ -125,7 +135,7 @@ def congruence_closure(
     classes = []
     for members in groups.values():
         members.sort(key=lambda w: (len(w), w))
-        canonical = tuple(w for w in members if is_canonical(Word(w, n)))
+        canonical = tuple(w for w in members if _first_owed(w, masks) is None)
         classes.append(CongruenceClass(tuple(members), canonical))
     classes.sort(key=lambda c: (len(c.members[0]), c.members[0]))
     return classes

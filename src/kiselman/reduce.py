@@ -4,6 +4,8 @@ The defining relations (a*a = a and a*b*a = b*a*b = a*b for a < b)
 generalize to a single deletion rule on consecutive occurrences of a
 letter: if the gap between them has no smaller letter the later
 occurrence is redundant, if it has no greater letter the earlier one is.
+The leftmost such pair is where the owed-smaller / owed-greater pass that
+decides canonicity first stops, so the reducer and the predicate share it.
 Iterating the rule terminates in a canonical word; that this word is the
 canonical form of the input (i.e. that the rule is confluent and respects
 the congruence) is certified empirically by the congruence-closure oracle
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word, is_canonical
+from .words import Word, _first_owed, _letter_masks, _previous, is_canonical
 
 __all__ = ["KElement", "delete_step", "canonical_form", "multiply", "identity", "generators"]
 
@@ -43,20 +45,19 @@ class KElement:
         return self.word.to_text()
 
 
-def _deletion_index(letters: tuple[int, ...]) -> int | None:
+def _deletion_index(
+    letters: tuple[int, ...], masks: tuple[tuple[int, int, int], ...]
+) -> int | None:
     # Leftmost reducible pair of consecutive equal letters, ordered by the
-    # position of the second occurrence.  Returns the index to delete.
-    last_seen: dict[int, int] = {}
-    for j, x in enumerate(letters):
-        i = last_seen.get(x)
-        if i is not None:
-            gap = letters[i + 1 : j]
-            if not any(y < x for y in gap):
-                return j  # no smaller letter in the gap: later occurrence is redundant
-            if not any(y > x for y in gap):
-                return i  # no greater letter in the gap: earlier occurrence is redundant
-        last_seen[x] = j
-    return None
+    # position of the second occurrence: the first letter the owed-state
+    # pass stops at.  Returns the index to delete.
+    hit = _first_owed(letters, masks)
+    if hit is None:
+        return None
+    j, owes_smaller = hit
+    # no smaller letter in the gap: the later occurrence is redundant;
+    # otherwise there is no greater one and the earlier occurrence is
+    return j if owes_smaller else _previous(letters, j)
 
 
 def delete_step(word: Word) -> Word | None:
@@ -64,7 +65,7 @@ def delete_step(word: Word) -> Word | None:
 
     Ties (empty gap, where both deletions apply) drop the later occurrence.
     """
-    idx = _deletion_index(word.letters)
+    idx = _deletion_index(word.letters, _letter_masks(word.rank))
     if idx is None:
         return None
     return Word(word.letters[:idx] + word.letters[idx + 1 :], word.rank)
@@ -74,22 +75,18 @@ def canonical_form(word: Word) -> KElement:
     """Reduce to the unique canonical word by iterated deletion.
 
     Each step shortens the word, so this terminates; the fixed point is
-    checked against the canonicity predicate (a failure would mean the
-    deletion rule is wrong and must surface loudly, not be papered over).
+    checked once, by the element's own validation against the canonicity
+    predicate (a failure would mean the reducer and the predicate disagree
+    and must surface loudly, not be papered over).
     """
+    masks = _letter_masks(word.rank)
     letters = word.letters
     while True:
-        idx = _deletion_index(letters)
+        idx = _deletion_index(letters, masks)
         if idx is None:
             break
         letters = letters[:idx] + letters[idx + 1 :]
-    result = Word(letters, word.rank)
-    if not is_canonical(result):
-        raise RuntimeError(
-            f"deletion rule produced a non-canonical fixed point {result.to_text()!r} "
-            f"from {word.to_text()!r}"
-        )
-    return KElement(result)
+    return KElement(Word(letters, word.rank))
 
 
 def multiply(x: KElement, y: KElement) -> KElement:

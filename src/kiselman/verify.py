@@ -162,7 +162,7 @@ def structure_suite(max_n: int = 6) -> list[BoundReport]:
             )
         )
     for n in range(3, max_n + 1, 2):
-        reports.append(census.verify_odd_structure(n))
+        reports.append(census._odd_structure_report(longest[n], longest[n - 2]))
         enumerated = longest[n].count
         printed = _printed_closed_form(n)
         agree = enumerated == printed

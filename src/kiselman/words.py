@@ -4,24 +4,25 @@ The alphabet of rank n is {1, ..., n} with the natural order.  A word is
 canonical when between any two occurrences of the same letter a there is
 at least one letter above a and at least one letter below a; canonical
 words are the unique shortest representatives of semigroup elements.
+
+Canonicity is decided in one left-to-right pass over two bitmasks, the
+letters still owed a smaller and a greater letter; the reducer and the
+census step through the same transition table, `_letter_masks`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 __all__ = [
     "ResourceGuardError",
     "Word",
-    "LetterStats",
     "CanonicalViolation",
     "length_bound",
     "is_canonical",
     "canonical_violation",
-    "occurrence_profile",
-    "plus_one_check",
-    "content",
 ]
 
 
@@ -89,25 +90,6 @@ class Word:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class LetterStats:
-    """Occurrence count of one letter together with its alphabet position data."""
-
-    letter: int
-    occurrences: int
-    less_count: int
-    more_count: int
-
-    @property
-    def within_bound(self) -> bool:
-        """Whether occurrences <= min(2^less_count, 2^more_count).
-
-        Canonical words satisfy this for every letter; arbitrary words
-        need not.
-        """
-        return self.occurrences <= min(2**self.less_count, 2**self.more_count)
-
-
 class CanonicalViolation(NamedTuple):
     """Witness of non-canonicity: two occurrences of `letter` whose gap
     lacks a smaller letter, a greater letter, or both.  Positions are
@@ -118,61 +100,71 @@ class CanonicalViolation(NamedTuple):
     second_pos: int
 
 
+@lru_cache(maxsize=None)
+def _letter_masks(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(bit, keep_ns, keep_ng) for each letter 1..n: the transition of the
+    owed-smaller / owed-greater state.
+
+    A prefix's state is two bitmasks: ns holds the letters that have seen
+    no smaller letter since their last occurrence, ng those that have seen
+    no greater one.  Appending x clears the owed-smaller bit of every letter
+    above x and the owed-greater bit of every letter below x, then marks x
+    as owing both.  A prefix stays canonical when x is appended iff x's bit
+    is in neither mask.
+    """
+    masks = []
+    for x in range(1, n + 1):
+        bit = 1 << (x - 1)
+        above = sum(1 << (y - 1) for y in range(x + 1, n + 1))
+        below = sum(1 << (y - 1) for y in range(1, x))
+        masks.append((bit, ~above, ~below))
+    return tuple(masks)
+
+
+def _first_owed(
+    letters: tuple[int, ...], masks: tuple[tuple[int, int, int], ...]
+) -> tuple[int, bool] | None:
+    """One left-to-right pass over the owed state.
+
+    Returns the index j of the first letter whose bit is still owed, i.e.
+    the later occurrence of the first pair (ordered by its later
+    occurrence) to break the gap condition, and whether that letter owes a
+    smaller one (its gap since the previous occurrence has no smaller
+    letter).  None when the word is canonical.  Letters must lie in
+    1..len(masks).
+    """
+    ns = ng = 0
+    for j, x in enumerate(letters):
+        bit, keep_ns, keep_ng = masks[x - 1]
+        if (ns | ng) & bit:
+            return j, bool(ns & bit)
+        ns = (ns & keep_ns) | bit
+        ng = (ng & keep_ng) | bit
+    return None
+
+
+def _previous(letters: tuple[int, ...], j: int) -> int:
+    """Index of the last occurrence of letters[j] before j; one must exist."""
+    return j - 1 - letters[j - 1 :: -1].index(letters[j])
+
+
 def canonical_violation(word: Word) -> CanonicalViolation | None:
     """Return the first violating occurrence pair, or None if canonical.
 
-    Checks every pair of equal letters against the gap condition.  Pairs
-    are ordered by the position of the later occurrence and then of the
-    earlier one, i.e. the reported pair is the first one a left-to-right
-    scan completes.
+    Pairs are ordered by the position of the later occurrence and then of
+    the earlier one, i.e. the reported pair is the first one a left-to-right
+    scan completes.  Its earlier occurrence is always the letter's previous
+    one: the gap from any occurrence before that contains the gap of a pair
+    completed earlier, which already holds a smaller and a greater letter.
     """
     letters = word.letters
-    for j, a in enumerate(letters):
-        for i in range(j):
-            if letters[i] != a:
-                continue
-            gap = letters[i + 1 : j]
-            if not (any(x > a for x in gap) and any(x < a for x in gap)):
-                return CanonicalViolation(a, i + 1, j + 1)
-    return None
+    hit = _first_owed(letters, _letter_masks(word.rank))
+    if hit is None:
+        return None
+    j = hit[0]
+    return CanonicalViolation(letters[j], _previous(letters, j) + 1, j + 1)
 
 
 def is_canonical(word: Word) -> bool:
     """Whether the word is the shortest representative of its element."""
     return canonical_violation(word) is None
-
-
-def occurrence_profile(word: Word) -> dict[int, LetterStats]:
-    """Per-letter occurrence counts for the letters present in the word."""
-    counts: dict[int, int] = {}
-    for x in word.letters:
-        counts[x] = counts.get(x, 0) + 1
-    return {
-        x: LetterStats(x, c, x - 1, word.rank - x) for x, c in sorted(counts.items())
-    }
-
-
-def plus_one_check(word: Word) -> bool:
-    """Check occurrences(a) <= 1 + #{letters below a} and symmetrically above.
-
-    Holds for every canonical word: between two occurrences of a there is
-    a lower and a higher letter, so occurrences of a exceed neither total
-    by more than one.  Exists as a test oracle; rejects non-canonical input.
-    """
-    violation = canonical_violation(word)
-    if violation is not None:
-        raise ValueError(f"word is not canonical: {violation}")
-    counts: dict[int, int] = {}
-    for x in word.letters:
-        counts[x] = counts.get(x, 0) + 1
-    for a, c in counts.items():
-        below = sum(v for b, v in counts.items() if b < a)
-        above = sum(v for b, v in counts.items() if b > a)
-        if c > 1 + below or c > 1 + above:
-            return False
-    return True
-
-
-def content(word: Word) -> frozenset[int]:
-    """The set of distinct letters; invariant under reduction."""
-    return word.content

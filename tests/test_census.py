@@ -8,9 +8,7 @@ from kiselman.bounds import km_upper_bound, lower_bound, prefix_upper_bound
 from kiselman.census import (
     Census,
     _extension_table,
-    _letter_masks,
     count,
-    enumerate_canonical,
     filtered_recount,
     iter_canonical,
     longest_census,
@@ -18,7 +16,7 @@ from kiselman.census import (
     verify_odd_structure,
     verify_subalphabet_embedding,
 )
-from kiselman.words import ResourceGuardError, Word, is_canonical, length_bound
+from kiselman.words import ResourceGuardError, Word, _letter_masks, is_canonical, length_bound
 
 # frozen counts; ranks 2 and 3 are certified against the congruence oracle
 # in the acceptance suite, the rest recomputed here by independent filters
@@ -31,6 +29,21 @@ KNOWN_BY_LENGTH_5 = {
 }
 
 KNOWN_LONGEST = {1: 1, 2: 2, 3: 2, 4: 14, 5: 8, 6: 838}
+
+# n -> (total, L(n), words of length L(n)) past the walk's reach; the DP
+# agrees with the breadth-first formulation below for n <= 10, and the top
+# coefficients at 9 and 11 also follow f(n) = 2 * f(n-2)^2
+PINNED_PAST_THE_WALK = {
+    8: (64146328635, 30, 3968310),
+    9: (5387481983035854, 46, 32768),
+    10: (53332505278384935836485, 62, 122002082809110),
+    11: (448356696524549059043145139274042, 94, 2147483648),
+    12: (
+        52321110785739610206886887435107004491768788251,
+        126,
+        160648249609910357850450605270,
+    ),
+}
 
 
 def test_counts_match_frozen_values():
@@ -85,13 +98,6 @@ def test_iter_canonical_prefix_order():
         seen.add(w)
 
 
-def test_enumerate_canonical_passes_words():
-    collected = []
-    enumerate_canonical(2, collected.append)
-    assert sorted(w.letters for w in collected) == [(), (1,), (1, 2), (2,), (2, 1)]
-    assert all(w.rank == 2 for w in collected)
-
-
 def test_complement_symmetry():
     # x -> n+1-x preserves the gap condition, so it permutes canonical words
     for n in range(1, 5):
@@ -136,6 +142,13 @@ def test_maximal_word_counts_follow_odd_recursion_past_the_walk():
     f = {n: count(n).by_length[length_bound(n)] for n in (5, 7, 9, 11)}
     for n in (7, 9, 11):
         assert f[n] == 2 * f[n - 2] ** 2, n
+
+
+def test_counts_pinned_past_the_walk():
+    for n, (total, longest, top) in PINNED_PAST_THE_WALK.items():
+        c = count(n)
+        assert (c.total, c.max_length, c.by_length[longest]) == (total, longest, top), n
+        assert longest == length_bound(n)
 
 
 def test_rank_8_count_within_bounds():

@@ -1,6 +1,6 @@
 import pytest
 
-from kiselman import verify
+from kiselman import census, verify
 
 
 def test_reducer_suite_respects_max_n():
@@ -33,6 +33,21 @@ def test_structure_suite_warns_without_failing():
     assert [w.n_or_k for w in warnings] == [3]
     counter = next(r for r in reports if r.name == "even-rank-counterexample-word")
     assert counter.holds
+
+
+def test_structure_suite_builds_each_longest_census_once(monkeypatch):
+    built = []
+    real = census.longest_census
+
+    def counting(n, **kwargs):
+        built.append(n)
+        return real(n, **kwargs)
+
+    monkeypatch.setattr(census, "longest_census", counting)
+    reports = verify.structure_suite(max_n=5)
+    assert sorted(built) == [1, 2, 3, 4, 5]
+    odd = [r for r in reports if r.name == "maximal-words-factor-as-w-1-n-w"]
+    assert [(r.n_or_k, r.holds) for r in odd] == [(3, True), (5, True)]
 
 
 def test_run_suite_dispatch():

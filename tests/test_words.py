@@ -1,15 +1,64 @@
+from dataclasses import dataclass
+
 import pytest
 
 from kiselman.words import (
     CanonicalViolation,
     Word,
     canonical_violation,
-    content,
     is_canonical,
     length_bound,
-    occurrence_profile,
-    plus_one_check,
 )
+
+
+@dataclass(frozen=True)
+class LetterStats:
+    """Occurrence count of one letter together with its alphabet position data."""
+
+    letter: int
+    occurrences: int
+    less_count: int
+    more_count: int
+
+    @property
+    def within_bound(self) -> bool:
+        """Whether occurrences <= min(2^less_count, 2^more_count).
+
+        Canonical words satisfy this for every letter; arbitrary words
+        need not.
+        """
+        return self.occurrences <= min(2**self.less_count, 2**self.more_count)
+
+
+def occurrence_profile(word: Word) -> dict[int, LetterStats]:
+    """Per-letter occurrence counts for the letters present in the word."""
+    counts: dict[int, int] = {}
+    for x in word.letters:
+        counts[x] = counts.get(x, 0) + 1
+    return {
+        x: LetterStats(x, c, x - 1, word.rank - x) for x, c in sorted(counts.items())
+    }
+
+
+def plus_one_check(word: Word) -> bool:
+    """Check occurrences(a) <= 1 + #{letters below a} and symmetrically above.
+
+    Holds for every canonical word: between two occurrences of a there is
+    a lower and a higher letter, so occurrences of a exceed neither total
+    by more than one.  Rejects non-canonical input.
+    """
+    violation = canonical_violation(word)
+    if violation is not None:
+        raise ValueError(f"word is not canonical: {violation}")
+    counts: dict[int, int] = {}
+    for x in word.letters:
+        counts[x] = counts.get(x, 0) + 1
+    for a, c in counts.items():
+        below = sum(v for b, v in counts.items() if b < a)
+        above = sum(v for b, v in counts.items() if b > a)
+        if c > 1 + below or c > 1 + above:
+            return False
+    return True
 
 
 def test_length_bound_values():
@@ -104,5 +153,4 @@ def test_plus_one_check():
 
 def test_content():
     w = Word((2, 1, 3, 2), 3)
-    assert content(w) == frozenset({1, 2, 3})
     assert w.content == frozenset({1, 2, 3})
