@@ -34,8 +34,8 @@ def main() -> None:
             f"{cert.canonical_words} canonical words, {status}{retry}"
         )
     print()
-    print("rank 4 with cap 8 passes too; it is left to the test suite")
-    print("since scanning its million-word retry universe takes half a minute")
+    print("rank 4 with cap 8 passes too; it is left to the test suite, since")
+    print("its retry universe of 1.4 million words takes about 2.5 s (2-core Xeon)")
 
 
 if __name__ == "__main__":

@@ -12,9 +12,12 @@ reduction rule is validated; it assumes nothing about the rule itself.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
+from typing import Iterator
 
+from . import reduce
 from .reduce import canonical_form
 from .reports import BoundReport
 from .words import ResourceGuardError, Word, _first_owed, _letter_masks
@@ -45,43 +48,90 @@ class CongruenceClass:
         return None
 
 
-def _universe_size(n: int, max_len: int) -> int:
-    if n <= 1:
-        return max_len + 1
-    return (n ** (max_len + 1) - 1) // (n - 1)
+def _layout(n: int, max_len: int) -> tuple[list[int], list[int]]:
+    # A word of length l sits at offset[l], the number of shorter words,
+    # plus its value in base n with digits x - 1, so words are indexed by
+    # length, then lexicographically; offset[max_len + 1] counts them all.
+    power = [n**k for k in range(max_len + 1)]
+    return power, [0, *accumulate(power)]
 
 
-def _universe(n: int, max_len: int) -> list[tuple[int, ...]]:
-    # all words of length <= max_len, by length then lexicographically
-    words: list[tuple[int, ...]] = [()]
-    level: list[tuple[int, ...]] = [()]
+def _universe(n: int, max_len: int) -> Iterator[tuple[int, ...]]:
+    # all words of length <= max_len, in index order
     alphabet = range(1, n + 1)
-    for _ in range(max_len):
-        level = [w + (x,) for w in level for x in alphabet]
-        words.extend(level)
-    return words
+    for ell in range(max_len + 1):
+        yield from product(alphabet, repeat=ell)
 
 
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-        self.size = [1] * size
+def _index(w: tuple[int, ...], n: int, offset: list[int]) -> int:
+    value = 0
+    for x in w:
+        value = value * n + x - 1
+    return offset[len(w)] + value
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+def _word(i: int, n: int, offset: list[int]) -> tuple[int, ...]:
+    ell = bisect_right(offset, i) - 1
+    value, letters = i - offset[ell], []
+    for _ in range(ell):
+        value, digit = divmod(value, n)
+        letters.append(digit + 1)
+    return tuple(reversed(letters))
+
+
+def _closure(n: int, max_len: int, max_words: int) -> list[int]:
+    """root[i], the index of the first word in word i's class.
+
+    Union-find whose roots keep the smaller index, so each class's root is
+    its first member.  Each relation instance is merged from one side:
+    x x with x, and a b a (a < b) with a b and with b a b; the two edges of
+    b a b follow by transitivity.  The words holding an instance at a
+    given position form one run of consecutive indices per prefix, and so
+    do their rewrites, so no word is read.
+    """
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
+    power, offset = _layout(n, max_len)
+    total = offset[-1]
+    if total > max_words:
+        raise ResourceGuardError(
+            f"congruence closure over rank {n}, length <= {max_len} needs {total} words "
+            f"(guard: {max_words}); raise max_words to override"
+        )
+    parent = list(range(total))
+
+    def merge(src: int, dst: int, count: int) -> None:
+        for a, b in zip(range(src, src + count), range(dst, dst + count)):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]  # digits, a < b
+    swap = n * n - n + 1  # a b a -> b a b adds (b - a) * swap
+    for ell in range(2, max_len + 1):
+        here, shorter = offset[ell], offset[ell - 1]
+        for p in range(ell - 1):  # x x at p, p + 1
+            run = power[ell - 2 - p]
+            for k in range(power[p + 1]):  # the prefix, then x, as one number
+                merge(here + (k * n + k % n) * run, shorter + k * run, run)
+        for p in range(ell - 2):  # a b a at p, p + 1, p + 2
+            run = power[ell - 3 - p]
+            for head in range(power[p]):
+                for a, b in pairs:
+                    src = here + ((head * n + a) * n * n + b * n + a) * run
+                    merge(src, shorter + ((head * n + a) * n + b) * run, run)
+                    merge(src, src + (b - a) * swap * run, run)
+    # parent[i] <= i, so one pass in index order leaves every entry a root
+    for i in range(total):
+        parent[i] = parent[parent[i]]
+    return parent
 
 
 def congruence_closure(
@@ -92,58 +142,33 @@ def congruence_closure(
     The closure is exact within the cap: every relation instance whose two
     sides both fit under the cap is merged.  Derivations forced through
     longer intermediates can only split classes, never mix them, which the
-    certification checks detect.
+    certification checks detect.  Classes are ordered by their first
+    member, and members by length, then lexicographically.
     """
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
-    total = _universe_size(n, max_len)
-    if total > max_words:
-        raise ResourceGuardError(
-            f"congruence closure over rank {n}, length <= {max_len} needs {total} words "
-            f"(guard: {max_words}); raise max_words to override"
-        )
-    words = _universe(n, max_len)
-    # A word of length l sits at offset[l], the number of shorter words,
-    # plus its value in base n with digits x - 1, so a rewritten word's
-    # index is integer arithmetic on the rewritten digits' weights.
-    power = [n**k for k in range(max_len + 1)]
-    offset = [0, *accumulate(power[:-1])]
-    uf = _UnionFind(len(words))
-
-    for i, w in enumerate(words):
-        ell = len(w)
-        value = i - offset[ell]
-        for p in range(ell - 1):
-            if w[p] == w[p + 1]:  # x*x = x: drop position p
-                r = power[ell - 1 - p]
-                uf.union(i, offset[ell - 1] + value // power[ell - p] * r + value % r)
-        for p in range(ell - 2):
-            x, y = w[p], w[p + 1]
-            if w[p + 2] == x and x != y:
-                # x*y*x equals both the ascending pair and the swapped triple
-                lo, hi = (x, y) if x < y else (y, x)
-                r = power[ell - 3 - p]
-                head = value // power[ell - p]
-                uf.union(i, offset[ell - 1] + (head * n * n + (lo - 1) * n + hi - 1) * r + value % r)
-                uf.union(i, i + (y - x) * (n * n - n + 1) * r)
-
+    root = _closure(n, max_len, max_words)
     masks = _letter_masks(n)
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for i, w in enumerate(words):
-        groups.setdefault(uf.find(i), []).append(w)
-
-    classes = []
-    for members in groups.values():
-        members.sort(key=lambda w: (len(w), w))
-        canonical = tuple(w for w in members if _first_owed(w, masks) is None)
-        classes.append(CongruenceClass(tuple(members), canonical))
-    classes.sort(key=lambda c: (len(c.members[0]), c.members[0]))
-    return classes
+    members: dict[int, list[tuple[int, ...]]] = {}
+    canonical: dict[int, list[tuple[int, ...]]] = {}
+    for i, w in enumerate(_universe(n, max_len)):
+        r = root[i]
+        if r == i:
+            members[i], canonical[i] = [], []
+        members[r].append(w)
+        if _first_owed(w, masks) is None:
+            canonical[r].append(w)
+    return [CongruenceClass(tuple(m), tuple(canonical[r])) for r, m in members.items()]
 
 
 @dataclass(frozen=True)
 class OracleCertification:
-    """Full outcome of checking the reducer against the congruence oracle."""
+    """Full outcome of checking the reducer against the congruence oracle.
+
+    universe counts the words of the closure the classes were read from,
+    reduced_directly the words put through `canonical_form` (all words of
+    length <= max_len), and reduced_by_memo the longer class members whose
+    memoized reduction was compared.  The counts come last, with defaults,
+    so the first seven fields still construct positionally.
+    """
 
     rank: int
     max_len: int
@@ -152,6 +177,9 @@ class OracleCertification:
     violations: tuple[dict, ...]
     retried: bool
     holds: bool
+    universe: int = 0
+    reduced_directly: int = 0
+    reduced_by_memo: int = 0
 
     def to_json(self) -> str:
         payload = {
@@ -163,35 +191,15 @@ class OracleCertification:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _scan_classes(n: int, classes: list[CongruenceClass]) -> list[dict]:
-    violations: list[dict] = []
-    for cls in classes:
-        rep = " ".join(map(str, cls.members[0]))
-        if len(cls.canonical_members) == 0:
-            violations.append({"kind": "no_canonical_member", "class_rep": rep})
-            continue
-        if len(cls.canonical_members) > 1:
-            violations.append(
-                {
-                    "kind": "multiple_canonical_members",
-                    "class_rep": rep,
-                    "canonical": [" ".join(map(str, w)) for w in cls.canonical_members],
-                }
-            )
-            continue
-        target = cls.canonical_members[0]
-        for w in cls.members:
-            reduced = canonical_form(Word(w, n)).word.letters
-            if reduced != target:
-                violations.append(
-                    {
-                        "kind": "reducer_mismatch",
-                        "word": " ".join(map(str, w)),
-                        "reduced_to": " ".join(map(str, reduced)),
-                        "expected": " ".join(map(str, target)),
-                    }
-                )
-    return violations
+def _canonical_by_class(root: list[int], kept: int, canonical: list[int]) -> dict[int, list[int]]:
+    # the classes reaching the first `kept` words, in order (a root is the
+    # first occurrence of its own value), each with its canonical members
+    by_class: dict[int, list[int]] = {r: [] for r in dict.fromkeys(root[:kept])}
+    for i in canonical:
+        members = by_class.get(root[i])
+        if members is not None:
+            members.append(i)
+    return by_class
 
 
 def certify_reducer(
@@ -199,28 +207,91 @@ def certify_reducer(
 ) -> OracleCertification:
     """Run the oracle and check the reducer against every class.
 
+    One owed-state pass per word, the reducer's own deletion step, finds
+    the canonical words (those with nothing to delete), and
+    `canonical_form` reduces every word of length <= max_len.
+
     A class without a canonical member means the cap truncated a
     derivation: two short words can be congruent only through longer
     intermediates.  The check then retries once with the cap raised by 2
     and examines the classes containing a word of length <= max_len,
-    i.e. the congruence restricted to the original universe.
+    i.e. the congruence restricted to the original universe.  A longer
+    word reduces to what the word left by its first deletion reduces to,
+    read from a memo in index order: the iterated leftmost deletion that
+    `canonical_form` performs.
     """
-    classes = congruence_closure(n, max_len, max_words=max_words)
-    retried = False
-    if any(len(c.canonical_members) == 0 for c in classes):
-        retried = True
-        raised = congruence_closure(n, max_len + 2, max_words=max_words)
-        classes = [c for c in raised if len(c.members[0]) <= max_len]
-    violations = _scan_classes(n, classes)
-    canonical_words = sum(len(c.canonical_members) for c in classes)
+    step = reduce._deletion_index  # the reducer's own lookup, patched or not
+    masks = _letter_masks(n)
+    root = _closure(n, max_len, max_words)
+    kept = len(root)  # the words of length <= max_len come first in any universe
+    canonical = [i for i, w in enumerate(_universe(n, max_len)) if step(w, masks) is None]
+    by_class = _canonical_by_class(root, kept, canonical)
+    retried = not all(by_class.values())
+    cap = max_len + 2 if retried else max_len
+    power, offset = _layout(n, cap)
+    # red[i]: the index of word i's reduction
+    red = [_index(canonical_form(Word(w, n)).word.letters, n, offset) for w in _universe(n, max_len)]
+    if retried:
+        root = _closure(n, cap, max_words)
+        for ell in (max_len + 1, max_len + 2):
+            here, shorter = offset[ell], offset[ell - 1]
+            for value, w in enumerate(product(range(1, n + 1), repeat=ell)):
+                d = step(w, masks)
+                if d is None:
+                    canonical.append(here + value)
+                    red.append(here + value)
+                else:
+                    r = power[ell - 1 - d]
+                    red.append(red[shorter + value // (r * n) * r + value % r])
+        by_class = _canonical_by_class(root, kept, canonical)
+
+    target = {r: members[0] for r, members in by_class.items() if len(members) == 1}
+    mismatched: dict[int, list[int]] = {}
+    by_memo = 0
+    for i, r in enumerate(root):
+        t = target.get(r)
+        if t is not None:
+            by_memo += i >= kept
+            if red[i] != t:
+                mismatched.setdefault(r, []).append(i)
+
+    def text(i: int) -> str:
+        return " ".join(map(str, _word(i, n, offset)))
+
+    violations: list[dict] = []
+    for r, members in by_class.items():
+        if not members:
+            violations.append({"kind": "no_canonical_member", "class_rep": text(r)})
+        elif len(members) > 1:
+            violations.append(
+                {
+                    "kind": "multiple_canonical_members",
+                    "class_rep": text(r),
+                    "canonical": [text(i) for i in members],
+                }
+            )
+        else:
+            violations += [
+                {
+                    "kind": "reducer_mismatch",
+                    "word": text(i),
+                    "reduced_to": text(red[i]),
+                    "expected": text(members[0]),
+                }
+                for i in mismatched.get(r, ())
+            ]
+    canonical_words = sum(len(members) for members in by_class.values())
     return OracleCertification(
         rank=n,
         max_len=max_len,
-        classes=len(classes),
+        classes=len(by_class),
         canonical_words=canonical_words,
         violations=tuple(violations),
         retried=retried,
-        holds=not violations and len(classes) == canonical_words,
+        holds=not violations and len(by_class) == canonical_words,
+        universe=len(root),
+        reduced_directly=kept,
+        reduced_by_memo=by_memo,
     )
 
 

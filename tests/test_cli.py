@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +183,20 @@ def test_console_script_is_installed():
         proc = subprocess.run(command, capture_output=True, text=True, env=_package_env())
         assert proc.returncode == 0, f"{command}: {proc.stderr}"
         assert proc.stdout == f"kiselman {kiselman.__version__}\n", f"{command}: {proc.stderr}"
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_all_five_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=_package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_cli_import_leaves_numpy_unloaded():
