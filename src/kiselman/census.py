@@ -146,20 +146,16 @@ def iter_canonical(n: int, *, allow_large: bool = False) -> Iterator[tuple[int, 
     """
     _check_rank(n, allow_large)
     masks = _letter_masks(n)
-    yield ()
-    path: list[int] = []
-    stack = [(1, x, bit, bit) for x, (bit, _, _) in zip(range(n, 0, -1), reversed(masks))]
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     while stack:
-        depth, letter, ns, ng = stack.pop()
-        del path[depth - 1 :]
-        path.append(letter)
-        yield tuple(path)
+        word, ns, ng = stack.pop()
+        yield word
         blocked = ns | ng
-        child_depth = depth + 1
+        # pushed in decreasing letter order, so the smallest letter pops first
         for x in range(n, 0, -1):
             bit, keep_ns, keep_ng = masks[x - 1]
             if not (blocked & bit):
-                stack.append((child_depth, x, (ns & keep_ns) | bit, (ng & keep_ng) | bit))
+                stack.append((word + (x,), (ns & keep_ns) | bit, (ng & keep_ng) | bit))
 
 
 def count(n: int, *, allow_large: bool = False) -> Census:

@@ -10,85 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
-import time
 from dataclasses import replace
-from pathlib import Path
 
 from . import __version__, bounds, census, verify
 from .reduce import canonical_form
 from .reports import reports_to_csv, reports_to_json
 from .words import ResourceGuardError, Word, canonical_violation, length_bound
-
-CACHE_VERSION = 1
-CACHE_ENV_VAR = "KISELMAN_CACHE"
-DEFAULT_CACHE_NAME = "kiselman-counts.json"
-
-
-def _cache_path(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.cwd() / DEFAULT_CACHE_NAME
-
-
-def _load_cache(path: Path) -> dict:
-    if not path.exists():
-        return {"version": CACHE_VERSION, "entries": {}}
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if raw.get("version") != CACHE_VERSION:
-        raise ValueError(f"cache {path} has unsupported version {raw.get('version')!r}")
-    return raw
-
-
-def _write_cache(path: Path, cache: dict) -> None:
-    # write-temp-then-rename keeps the cache intact under interruption
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _entry_from_census(c: census.Census, elapsed: float) -> dict:
-    return {
-        "count": str(c.total),
-        "by_length": {str(l): str(v) for l, v in sorted(c.by_length.items())},
-        "produced_by": f"kiselman {__version__}",
-        "elapsed_seconds": round(elapsed, 3),
-    }
-
-
-def _census_from_entry(rank: int, entry: dict) -> census.Census:
-    by_length = {int(l): int(v) for l, v in entry["by_length"].items()}
-    return census.Census(
-        rank=rank,
-        total=int(entry["count"]),
-        by_length=by_length,
-        max_length=max(by_length),
-    )
-
-
-def _selfcheck(cache: dict, allow_large: bool) -> list[str]:
-    mismatches = []
-    for rank_str, entry in sorted(cache["entries"].items(), key=lambda kv: int(kv[0])):
-        rank = int(rank_str)
-        fresh = census.count(rank, allow_large=allow_large)
-        if _entry_from_census(fresh, 0.0)["by_length"] != entry["by_length"] or str(
-            fresh.total
-        ) != entry["count"]:
-            mismatches.append(f"rank {rank}: cached {entry['count']}, recomputed {fresh.total}")
-    return mismatches
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -119,23 +47,7 @@ def cmd_mul(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    path = _cache_path(args.cache)
-    cache = _load_cache(path)
-    if args.selfcheck:
-        mismatches = _selfcheck(cache, args.allow_large)
-        if mismatches:
-            for line in mismatches:
-                print(f"cache mismatch: {line}", file=sys.stderr)
-            return 1
-        print(f"cache ok: {len(cache['entries'])} entries match recomputation", file=sys.stderr)
-    entry = None if args.force else cache["entries"].get(str(args.rank))
-    if entry is not None:
-        result = _census_from_entry(args.rank, entry)
-    else:
-        start = time.perf_counter()
-        result = census.count(args.rank, allow_large=args.allow_large)
-        cache["entries"][str(args.rank)] = _entry_from_census(result, time.perf_counter() - start)
-        _write_cache(path, cache)
+    result = census.count(args.rank, allow_large=args.allow_large)
     if args.longest:
         # the number of maximal words is the top coefficient of the census
         result = replace(result, longest_count=result.by_length[result.max_length])
@@ -241,13 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="include the per-length breakdown (included by default; flag kept for scripts)",
     )
     p.add_argument("--longest", action="store_true", help="also count words of maximal length")
-    p.add_argument("--cache", help=f"cache file (default ./{DEFAULT_CACHE_NAME}, or ${CACHE_ENV_VAR})")
-    p.add_argument("--force", action="store_true", help="recompute even on a cache hit")
-    p.add_argument(
-        "--selfcheck",
-        action="store_true",
-        help="recompute every cached entry and fail on any mismatch",
-    )
+    # counts are recomputed on every call; these two stay so that scripts keep exit code 0
+    p.add_argument("--cache", metavar="PATH", help="ignored (flag kept for scripts)")
+    p.add_argument("--force", action="store_true", help="ignored (flag kept for scripts)")
     p.add_argument(
         "--allow-large",
         action="store_true",
@@ -278,10 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ResourceGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, ResourceGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

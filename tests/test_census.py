@@ -8,6 +8,7 @@ from kiselman.bounds import km_upper_bound, lower_bound, prefix_upper_bound
 from kiselman.census import (
     Census,
     _extension_table,
+    _odd_structure_report,
     count,
     filtered_recount,
     iter_canonical,
@@ -187,6 +188,23 @@ def test_odd_structure_reports():
         verify_odd_structure(4)
 
 
+def test_odd_structure_report_names_non_canonical_composites(monkeypatch):
+    monkeypatch.setattr("kiselman.census.is_canonical", lambda word: False)
+    report = verify_odd_structure(3)
+    assert not report.holds
+    assert report.note == "f(3) = 2, 2*f(1)^2 = 2; 2 failures, first: 'composite 2 1 3 2'"
+
+
+def test_odd_structure_report_names_unfactored_words():
+    # drop the inner word 2 1 3 2: the six maximal words of rank 5 built
+    # from its shift 3 2 4 3 no longer factor, although the counts agree
+    inner = longest_census(3)
+    report = _odd_structure_report(longest_census(5), replace(inner, words=inner.words[1:]))
+    assert not report.holds
+    assert report.lhs == report.rhs == 8
+    assert report.note == "f(5) = 8, 2*f(3)^2 = 8; 6 failures, first: '3 2 4 3 1 5 3 2 4 3'"
+
+
 def test_subalphabet_embedding():
     for n in range(2, 6):
         report = verify_subalphabet_embedding(n)
@@ -199,6 +217,13 @@ def test_lower_bound_construction():
         assert report.holds, report.note
         assert report.lhs == 2 * KNOWN_TOTALS[n] ** 2
         assert report.rhs == KNOWN_TOTALS[n + 2]
+
+
+def test_lower_bound_construction_counts_non_canonical_composites(monkeypatch):
+    monkeypatch.setattr("kiselman.census.is_canonical", lambda word: False)
+    report = verify_lower_bound_construction(1)
+    assert not report.holds
+    assert report.note == "8 distinct composites, 8 non-canonical"
 
 
 def test_rank_guard():

@@ -8,15 +8,16 @@ from pathlib import Path
 import pytest
 
 import kiselman
-from kiselman.census import Census
+from kiselman import verify
+from kiselman.census import Census, count
 from kiselman.cli import main
+from kiselman.reports import BoundReport
 
 
 @pytest.fixture(autouse=True)
 def _isolate_cwd(tmp_path, monkeypatch):
-    # keep the default count cache inside the test directory
+    # run every command in an empty directory, so a test can check that it writes no file
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("KISELMAN_CACHE", raising=False)
 
 
 def test_reduce(capsys):
@@ -75,51 +76,17 @@ def test_count_longest(capsys):
     assert payload["longest_count"] == "2"
 
 
-def test_count_cache_hit_and_force(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    argv = ["count", "--rank", "4", "--cache", str(cache)]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert main(argv) == 0  # served from the cache
-    assert capsys.readouterr().out == first
-    assert main(argv + ["--force"]) == 0
-    assert capsys.readouterr().out == first
-    entries = json.loads(cache.read_text())["entries"]
-    assert entries["4"]["count"] == "115"
-
-
-def test_count_default_cache_in_cwd(tmp_path, capsys):
-    assert main(["count", "--rank", "2"]) == 0
-    capsys.readouterr()
-    assert (tmp_path / "kiselman-counts.json").exists()
-
-
-def test_count_cache_env_var(tmp_path, monkeypatch, capsys):
-    target = tmp_path / "env-cache.json"
-    monkeypatch.setenv("KISELMAN_CACHE", str(target))
-    assert main(["count", "--rank", "2"]) == 0
-    capsys.readouterr()
-    assert target.exists()
-
-
-def test_count_selfcheck_detects_corruption(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    assert main(["count", "--rank", "3", "--cache", str(cache)]) == 0
-    capsys.readouterr()
-    raw = json.loads(cache.read_text())
-    raw["entries"]["3"]["count"] = "19"
-    cache.write_text(json.dumps(raw))
-    assert main(["count", "--rank", "3", "--cache", str(cache), "--selfcheck"]) == 1
-    assert "mismatch" in capsys.readouterr().err
-
-
-def test_count_selfcheck_passes(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    for rank in ("2", "3"):
-        assert main(["count", "--rank", rank, "--cache", str(cache)]) == 0
-    capsys.readouterr()
-    assert main(["count", "--rank", "2", "--cache", str(cache), "--selfcheck"]) == 0
-    assert "cache ok: 2 entries" in capsys.readouterr().err
+def test_count_recomputes_and_ignores_cache_settings(tmp_path, monkeypatch, capsys):
+    # the working directory is tmp_path, and so are both would-be cache paths
+    monkeypatch.setenv("KISELMAN_CACHE", str(tmp_path / "env.json"))
+    expected = count(4).to_json()
+    for extra in ([], ["--force"], ["--cache", str(tmp_path / "x.json")]):
+        assert main(["count", "--rank", "4", *extra]) == 0
+        assert capsys.readouterr().out == expected
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--rank", "4", "--selfcheck"])
+    assert exc.value.code == 2
 
 
 def test_count_guard_without_allow_large(capsys):
@@ -140,6 +107,15 @@ def test_verify_structure_warns_but_passes(capsys):
     captured = capsys.readouterr()
     assert "WARN" in captured.err
     assert "longest-count-vs-printed-closed-form" in captured.out
+
+
+def test_verify_failure_exits_1(monkeypatch, capsys):
+    planted = BoundReport(name="planted-check", n_or_k=2, lhs=3, rhs=2, holds=False, note="planted")
+    monkeypatch.setattr(verify, "identities_suite", lambda max_n: [planted])
+    assert main(["verify", "--suite", "identities", "--max-n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL planted-check (n_or_k=2): lhs=3 rhs=2 planted\n" in err
+    assert "0/1 checks hold (identities, max_n=2)\n" in err
 
 
 def test_verify_csv_format(capsys):

@@ -235,6 +235,14 @@ def test_memo_catches_reducer_fault_past_the_cap(monkeypatch):
     assert _fields(cert) == _fields(reference_certify(3, 4))
 
 
+def test_report_names_violations(monkeypatch):
+    _wrong_past(4, monkeypatch)
+    report = verify_reducer_against_oracle(3, 4)
+    assert not report.holds
+    violations = certify_reducer(3, 4).violations
+    assert f"; {len(violations)} violations, first: {json.dumps(list(violations[:3]))}" in report.note
+
+
 def test_memo_catches_canonical_claims_past_the_cap(monkeypatch):
     # the step finds nothing to delete in any word longer than the cap
     step = reduce._deletion_index
