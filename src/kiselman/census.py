@@ -13,7 +13,7 @@ transfer-matrix method) and lists no word; `longest_census` uses the same
 table to walk only into states that can still reach the maximal length.
 Two independent censuses cross-check it: `iter_canonical`, a depth-first
 walk over every canonical word, and `filtered_recount`, a breadth-first
-extend-and-filter recount vectorized with numpy and driven directly by
+extend-and-filter recount over whole length levels, driven directly by
 the defining gap condition.
 """
 
@@ -64,17 +64,6 @@ class Census:
         if self.longest_count is not None:
             payload["longest_count"] = str(self.longest_count)
         return json.dumps(payload, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Census":
-        raw = json.loads(text)
-        return cls(
-            rank=raw["rank"],
-            total=int(raw["total"]),
-            by_length={int(l): int(c) for l, c in raw["by_length"].items()},
-            max_length=raw["max_length"],
-            longest_count=int(raw["longest_count"]) if "longest_count" in raw else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -176,50 +165,29 @@ def count(n: int, *, allow_large: bool = False) -> Census:
 
 
 def filtered_recount(n: int, *, allow_large: bool = False) -> Census:
-    """Independent census: breadth-first generate-and-filter.
+    """Independent census: breadth-first extend-and-filter.
 
-    Extends every canonical word of length l by every letter and keeps the
-    extension iff the segment after the appended letter's previous
-    occurrence contains both a greater and a smaller letter (the defining
-    gap condition, applied to the one pair a canonical prefix can break).
-    Vectorized over whole length levels; shares no state logic with the
-    depth-first walk.
+    Extends every canonical word of length l by every letter x and keeps
+    the extension iff x does not occur in the word or the segment from its
+    last occurrence on holds a letter smaller than x and a greater one (the
+    defining gap condition, applied to the one pair a canonical prefix can
+    break).  Works on whole length levels of words held as bytes and shares
+    no state logic with the depth-first walk or the census DP.
     """
     _check_rank(n, allow_large)
-    import numpy as np
-
-    by_length = {0: 1}
-    level = np.zeros((1, 0), dtype=np.int16)
-    length = 0
-    while level.shape[0]:
-        m, l = level.shape
-        if l:
-            sufmax = np.maximum.accumulate(level[:, ::-1], axis=1)[:, ::-1]
-            sufmin = np.minimum.accumulate(level[:, ::-1], axis=1)[:, ::-1]
-        rows = np.arange(m)
-        extensions = []
-        for x in range(1, n + 1):
-            if l == 0:
-                ok = np.ones(m, dtype=bool)
-            else:
-                eq = level == x
-                has = eq.any(axis=1)
-                last = (l - 1) - np.argmax(eq[:, ::-1], axis=1)
-                after = last + 1
-                ok = ~has
-                candidates = has & (after < l)
-                if candidates.any():
-                    ri, ai = rows[candidates], after[candidates]
-                    ok[candidates] = (sufmax[ri, ai] > x) & (sufmin[ri, ai] < x)
-            kept = level[ok]
-            if kept.shape[0]:
-                col = np.full((kept.shape[0], 1), x, dtype=np.int16)
-                extensions.append(np.concatenate([kept, col], axis=1))
-        if not extensions:
-            break
-        level = np.concatenate(extensions, axis=0)
-        length += 1
-        by_length[length] = int(level.shape[0])
+    letters = [(x, bytes((x,))) for x in range(1, n + 1)]
+    by_length: dict[int, int] = {}
+    level = [b""]
+    while level:
+        by_length[len(by_length)] = len(level)
+        extended = []
+        for word in level:
+            for x, tail in letters:
+                last = word.rfind(x)
+                # the segment starts at x itself, so both comparisons must be strict
+                if last < 0 or min(gap := word[last:]) < x < max(gap):
+                    extended.append(word + tail)
+        level = extended
     return Census(
         rank=n,
         total=sum(by_length.values()),

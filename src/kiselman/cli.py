@@ -121,6 +121,13 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kiselman",
@@ -169,12 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=verify.SUITES + ("all",),
         default="all",
     )
-    p.add_argument("--max-n", type=int, default=6, help="largest rank to enumerate")
+    p.add_argument("--max-n", type=_nonnegative, default=6, help="largest rank to enumerate")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="per-rank counts, bounds and scaled logs")
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--max-n", type=_nonnegative, default=6)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_table)
 
