@@ -109,13 +109,8 @@ def multinomial_identity_check(k: int, *, allow_large: bool = False) -> BoundRep
     rhs = 1
     for h in range(1, k + 1):
         rhs *= math.comb(2 * 2**h - 2, 2 ** (h - 1)) * math.comb(3 * 2 ** (h - 1) - 2, 2 ** (h - 1))
-    return BoundReport(
-        name="multiset-multinomial-equals-binomial-product",
-        n_or_k=k,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs == rhs,
-        note="exact equality required",
+    return BoundReport.equal(
+        "multiset-multinomial-equals-binomial-product", k, lhs, rhs, "exact equality required"
     )
 
 
@@ -146,14 +141,8 @@ def binomial_lemma_check(N: int, part: int, *, allow_large: bool = False) -> Bou
         rhs = 27**N
     else:
         raise ValueError(f"part must be 1, 2 or 3, got {part}")
-    return BoundReport(
-        name=f"binomial-estimate-part-{part}",
-        n_or_k=N,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        note="pi replaced by 355/113 (stronger)" if part in (1, 2) else "pure integers",
-    )
+    note = "pi replaced by 355/113 (stronger)" if part in (1, 2) else "pure integers"
+    return BoundReport.at_most(f"binomial-estimate-part-{part}", N, lhs, rhs, note)
 
 
 def even_upper_bound(k: int, *, allow_large: bool = False) -> int:
@@ -167,15 +156,10 @@ def even_upper_bound(k: int, *, allow_large: bool = False) -> int:
 
 def even_upper_bound_check(k: int, *, allow_large: bool = False) -> BoundReport:
     """Companion check: the prefix bound for rank 2k stays below 2^(6*2^k)."""
-    lhs = prefix_upper_bound(2 * k)
+    # the guarded bound first: the multinomial's cost has no guard of its own
     rhs = even_upper_bound(k, allow_large=allow_large)
-    return BoundReport(
-        name="prefix-bound-below-even-upper-bound",
-        n_or_k=k,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        note=f"rank {2 * k}",
+    return BoundReport.at_most(
+        "prefix-bound-below-even-upper-bound", k, prefix_upper_bound(2 * k), rhs, f"rank {2 * k}"
     )
 
 
@@ -194,15 +178,12 @@ def odd_exponent_check(n: int) -> BoundReport:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"need odd n >= 1, got {n}")
-    lhs = prefix_upper_bound(n)
-    rhs = 432 ** (2 ** ((n - 1) // 2))
-    return BoundReport(
-        name="log2-prefix-bound-below-odd-exponent",
-        n_or_k=n,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        note="exact form: prefix bound <= 432^(2^((n-1)/2))",
+    return BoundReport.at_most(
+        "log2-prefix-bound-below-odd-exponent",
+        n,
+        prefix_upper_bound(n),
+        432 ** (2 ** ((n - 1) // 2)),
+        "exact form: prefix bound <= 432^(2^((n-1)/2))",
     )
 
 
@@ -229,18 +210,9 @@ def monotone_sequence_check(counts: list[tuple[int, int]]) -> list[BoundReport]:
         for (n, kn), (m, km) in zip(run, run[1:]):
             if m != n + 2:
                 raise ValueError(f"missing count between ranks {n} and {m}")
-            lhs = (2 * kn) ** 2
-            rhs = 2 * km
-            reports.append(
-                BoundReport(
-                    name="doubled-count-square-below-next",
-                    n_or_k=n,
-                    lhs=lhs,
-                    rhs=rhs,
-                    holds=lhs <= rhs,
-                    note=f"(2*count({n}))^2 vs 2*count({m})",
-                )
-            )
+            name = "doubled-count-square-below-next"
+            note = f"(2*count({n}))^2 vs 2*count({m})"
+            reports.append(BoundReport.at_most(name, n, (2 * kn) ** 2, 2 * km, note))
     return reports
 
 
@@ -255,48 +227,27 @@ def limit_report(counts: list[tuple[int, int]]) -> tuple[list[SequencePoint], li
     """
     ordered = sorted(counts)
     points = [scaled_log(n, c) for n, c in ordered]
-    reports = []
-    for (n, kn), (m, km) in zip(ordered, ordered[1:]):
-        if m == n + 1:
-            reports.append(
-                BoundReport(
-                    name="count-monotone-in-rank",
-                    n_or_k=n,
-                    lhs=kn,
-                    rhs=km,
-                    holds=kn <= km,
-                    note=f"count({n}) <= count({m})",
-                )
-            )
+    reports = [
+        BoundReport.at_most("count-monotone-in-rank", n, kn, km, f"count({n}) <= count({m})")
+        for (n, kn), (m, km) in zip(ordered, ordered[1:])
+        if m == n + 1
+    ]
     evens = [(n, c) for n, c in ordered if n % 2 == 0]
     odds = [(n, c) for n, c in ordered if n % 2 == 1]
     if evens:
         n, c = evens[-1]
-        k = n // 2
-        reports.append(
-            BoundReport(
-                name="even-scaled-log-below-6",
-                n_or_k=n,
-                lhs=2 * c,
-                rhs=2 ** (6 * 2**k),
-                holds=2 * c <= 2 ** (6 * 2**k),
-                note=f"empirical lower estimate for the even limit: {scaled_log(n, c).scaled_log:.6f} <= 6",
-            )
-        )
+        estimate = scaled_log(n, c).scaled_log
+        note = f"empirical lower estimate for the even limit: {estimate:.6f} <= 6"
+        cap = 2 ** (6 * 2 ** (n // 2))
+        reports.append(BoundReport.at_most("even-scaled-log-below-6", n, 2 * c, cap, note))
     if odds:
         n, c = odds[-1]
-        k = (n - 1) // 2
-        reports.append(
-            BoundReport(
-                name="odd-scaled-log-below-log2-432-over-sqrt2",
-                n_or_k=n,
-                lhs=2 * c,
-                rhs=432 ** (2**k),
-                holds=2 * c <= 432 ** (2**k),
-                note=(
-                    f"empirical lower estimate for the odd limit: "
-                    f"{scaled_log(n, c).scaled_log:.6f} <= {ODD_EXPONENT_CONSTANT:.6f}"
-                ),
-            )
+        estimate = scaled_log(n, c).scaled_log
+        note = (
+            f"empirical lower estimate for the odd limit: "
+            f"{estimate:.6f} <= {ODD_EXPONENT_CONSTANT:.6f}"
         )
+        cap = 432 ** (2 ** (n // 2))
+        name = "odd-scaled-log-below-log2-432-over-sqrt2"
+        reports.append(BoundReport.at_most(name, n, 2 * c, cap, note))
     return points, reports

@@ -172,13 +172,19 @@ def filtered_recount(n: int, *, allow_large: bool = False) -> Census:
     last occurrence on holds a letter smaller than x and a greater one (the
     defining gap condition, applied to the one pair a canonical prefix can
     break).  Works on whole length levels of words held as bytes and shares
-    no state logic with the depth-first walk or the census DP.
+    no state logic with the depth-first walk or the census DP.  Stops at
+    the closed-form length bound L(n): a word of length L(n) + 1 that
+    passes the filter raises RuntimeError, so a faulty filter fails
+    before its levels can grow without bound.
     """
     _check_rank(n, allow_large)
     letters = [(x, bytes((x,))) for x in range(1, n + 1)]
+    bound = length_bound(n)
     by_length: dict[int, int] = {}
     level = [b""]
     while level:
+        if len(by_length) > bound:
+            raise RuntimeError(f"rank {n} recount kept {list(level[0])}, longer than L({n}) = {bound}")
         by_length[len(by_length)] = len(level)
         extended = []
         for word in level:

@@ -1,9 +1,14 @@
 """Structured check reports with JSON and CSV emission.
 
-Every verification in this package reports an exact comparison
-lhs <= rhs (direction and meaning recorded in the name).  Big values are
-serialized as decimal strings so downstream consumers are never exposed
-to 64-bit overflow; rationals serialize as "numerator/denominator".
+Every verification in this package reports an exact comparison of lhs
+with rhs (direction and meaning recorded in the name), built by
+`BoundReport.at_most` (lhs <= rhs) or `BoundReport.equal` (lhs == rhs),
+which derive `holds` from those values.  Only compound verdicts use the
+plain constructor: the census structure checks, the oracle certification,
+the rank-4 counterexample and the always-holding printed-closed-form WARN.
+Big values are serialized as decimal strings so downstream consumers are
+never exposed to 64-bit overflow; rationals serialize as
+"numerator/denominator".
 """
 
 from __future__ import annotations
@@ -28,6 +33,16 @@ class BoundReport:
     rhs: Value
     holds: bool
     note: str = ""
+
+    @classmethod
+    def at_most(cls, name: str, n_or_k: int, lhs: Value, rhs: Value, note: str = "") -> BoundReport:
+        """The check lhs <= rhs, holding exactly when it does."""
+        return cls(name, n_or_k, lhs, rhs, lhs <= rhs, note)
+
+    @classmethod
+    def equal(cls, name: str, n_or_k: int, lhs: Value, rhs: Value, note: str = "") -> BoundReport:
+        """The check lhs == rhs, holding exactly when it does."""
+        return cls(name, n_or_k, lhs, rhs, lhs == rhs, note)
 
     def to_json_dict(self) -> dict:
         return {

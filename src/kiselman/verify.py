@@ -41,50 +41,16 @@ def bounds_suite(max_n: int = 6) -> list[BoundReport]:
     counts = {n: census.count(n).total for n in range(max_n + 1)}
     reports = []
     for n, c in counts.items():
-        lo = bounds.lower_bound(n)
-        reports.append(
-            BoundReport(
-                name="lower-bound-below-count",
-                n_or_k=n,
-                lhs=lo,
-                rhs=c,
-                holds=lo <= c,
-            )
-        )
+        reports.append(BoundReport.at_most("lower-bound-below-count", n, bounds.lower_bound(n), c))
         if n >= 1:
             pre = bounds.prefix_upper_bound(n)
+            reports.append(BoundReport.at_most("count-below-prefix-bound", n, c, pre))
             km = bounds.km_upper_bound(n)
-            reports.append(
-                BoundReport(
-                    name="count-below-prefix-bound",
-                    n_or_k=n,
-                    lhs=c,
-                    rhs=pre,
-                    holds=c <= pre,
-                )
-            )
-            reports.append(
-                BoundReport(
-                    name="count-below-km-bound",
-                    n_or_k=n,
-                    lhs=c,
-                    rhs=km,
-                    holds=c <= km,
-                )
-            )
+            reports.append(BoundReport.at_most("count-below-km-bound", n, c, km))
         if n >= 2 and n % 2 == 0:
-            k = n // 2
-            cap = bounds.even_upper_bound(k)
-            reports.append(
-                BoundReport(
-                    name="count-below-even-upper-bound",
-                    n_or_k=k,
-                    lhs=c,
-                    rhs=cap,
-                    holds=c <= cap,
-                    note=f"rank {n}",
-                )
-            )
+            cap = bounds.even_upper_bound(n // 2)
+            name = "count-below-even-upper-bound"
+            reports.append(BoundReport.at_most(name, n // 2, c, cap, f"rank {n}"))
     reports.extend(bounds.monotone_sequence_check(list(counts.items())))
     _, limit_reports = bounds.limit_report(list(counts.items()))
     reports.extend(limit_reports)
@@ -101,15 +67,7 @@ def identities_suite(max_n: int = 6) -> list[BoundReport]:
     for n in range(1, max_n + 1):
         total = sum(bounds.maximal_multiset(n).values())
         ell = length_bound(n)
-        reports.append(
-            BoundReport(
-                name="multiset-sums-to-length-bound",
-                n_or_k=n,
-                lhs=total,
-                rhs=ell,
-                holds=total == ell,
-            )
-        )
+        reports.append(BoundReport.equal("multiset-sums-to-length-bound", n, total, ell))
     for k in range(1, 9):
         reports.append(bounds.multinomial_identity_check(k))
     for N in range(1, 65):
@@ -148,42 +106,31 @@ def _counterexample_report(longest: census.LongestCensus) -> BoundReport:
 
 def structure_suite(max_n: int = 6) -> list[BoundReport]:
     """Longest-word structure: lengths, counts, factorization, embeddings."""
-    reports = []
     longest = {n: census.longest_census(n) for n in range(1, max_n + 1)}
-    for n, lc in longest.items():
-        reports.append(
-            BoundReport(
-                name="max-length-equals-length-bound",
-                n_or_k=n,
-                lhs=lc.max_length,
-                rhs=length_bound(n),
-                holds=lc.max_length == length_bound(n),
-                note=f"{lc.count} words of maximal length",
-            )
+    reports = [
+        BoundReport.equal(
+            "max-length-equals-length-bound",
+            n,
+            lc.max_length,
+            length_bound(n),
+            f"{lc.count} words of maximal length",
         )
+        for n, lc in longest.items()
+    ]
     for n in range(3, max_n + 1, 2):
         reports.append(census._odd_structure_report(longest[n], longest[n - 2]))
         enumerated = longest[n].count
         printed = _printed_closed_form(n)
-        agree = enumerated == printed
         note = (
             "agrees with the printed closed form"
-            if agree
+            if enumerated == printed
             else (
                 f"WARN: enumerated {enumerated} maximal words, printed closed form "
                 f"gives {printed}; enumeration follows f(n) = 2*f(n-2)^2"
             )
         )
-        reports.append(
-            BoundReport(
-                name="longest-count-vs-printed-closed-form",
-                n_or_k=n,
-                lhs=enumerated,
-                rhs=printed,
-                holds=True,
-                note=note,
-            )
-        )
+        name = "longest-count-vs-printed-closed-form"
+        reports.append(BoundReport(name, n, enumerated, printed, holds=True, note=note))
     if max_n >= 4:
         reports.append(_counterexample_report(longest[4]))
     for n in range(2, max_n + 1):

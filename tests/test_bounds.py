@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kiselman import bounds
 from kiselman.bounds import (
     ODD_EXPONENT_CONSTANT,
     PI_UPPER,
@@ -115,6 +116,15 @@ def test_even_upper_bound():
         even_upper_bound(7)
     for k in (1, 2, 3):
         assert even_upper_bound_check(k).holds
+
+
+def test_even_upper_bound_check_guards_before_the_multinomial(monkeypatch):
+    def unguarded(n):
+        raise AssertionError(f"prefix_upper_bound({n}) ran before the guard")
+
+    monkeypatch.setattr(bounds, "prefix_upper_bound", unguarded)
+    with pytest.raises(ValueError, match="exceeds guard"):
+        even_upper_bound_check(7)
 
 
 def test_odd_exponent():

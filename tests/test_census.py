@@ -125,6 +125,13 @@ def test_dp_matches_walk_and_recount():
         assert (dp.total, dp.max_length) == (recount.total, recount.max_length), n
 
 
+def test_recount_raises_on_a_word_past_the_length_bound(monkeypatch):
+    # with the bound set one short, the longest canonical words are too long
+    monkeypatch.setattr("kiselman.census.length_bound", lambda n: length_bound(n) - 1)
+    with pytest.raises(RuntimeError, match=r"longer than L\(3\) = 3"):
+        filtered_recount(3)
+
+
 def test_dp_matches_forward_formulation():
     for n in range(11):
         assert count(n).by_length == _forward_by_length(n), n

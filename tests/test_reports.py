@@ -51,3 +51,65 @@ def test_csv_emission():
     assert lines[0] == "name,n_or_k,lhs,rhs,holds,note"
     assert lines[1] == "plain,1,4,10,true,"
     assert lines[2] == 'noted,2,,,false,"has ""quotes"", and commas"'
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, holds",
+    [
+        (3, 3, True),
+        (2, 3, True),
+        (4, 3, False),
+        (2**70, 2**70, True),
+        (2**70 - 1, 2**70, True),
+        (2**70 + 1, 2**70, False),
+        (Fraction(1, 3), Fraction(1, 3), True),
+        (Fraction(1, 3), Fraction(1, 2), True),
+        (Fraction(2, 3), Fraction(1, 2), False),
+        (Fraction(2**71, 3), 2**70, True),
+        (Fraction(2**71 + 3, 2), 2**70, False),
+    ],
+)
+def test_at_most(lhs, rhs, holds):
+    report = BoundReport.at_most("cmp", 1, lhs, rhs, "note")
+    assert report == BoundReport("cmp", 1, lhs, rhs, holds, "note")
+    assert report.holds is holds
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, holds",
+    [
+        (5, 5, True),
+        (5, 6, False),
+        (2**70, 2**70, True),
+        (2**70, 2**70 + 1, False),
+        (Fraction(4, 2), 2, True),
+        (Fraction(1, 3), Fraction(1, 2), False),
+    ],
+)
+def test_equal(lhs, rhs, holds):
+    report = BoundReport.equal("eq", 2, lhs, rhs)
+    assert report == BoundReport("eq", 2, lhs, rhs, holds)
+    assert report.holds is holds
+
+
+def test_built_reports_emit_as_plain_ones():
+    built = [
+        BoundReport.at_most("le", 1, 2**70, 2**71, "big"),
+        BoundReport.at_most("gt", 2, Fraction(7, 2), 3, 'a "quoted", note'),
+        BoundReport.equal("eq", 3, 115, 115),
+        BoundReport.equal("ne", 4, 1710, 1711, "off by one"),
+    ]
+    plain = [
+        BoundReport("le", 1, 2**70, 2**71, True, "big"),
+        BoundReport("gt", 2, Fraction(7, 2), 3, False, 'a "quoted", note'),
+        BoundReport("eq", 3, 115, 115, True),
+        BoundReport("ne", 4, 1710, 1711, False, "off by one"),
+    ]
+    assert reports_to_json(built) == reports_to_json(plain)
+    assert reports_to_csv(built) == reports_to_csv(plain)
+    assert reports_to_csv(built).splitlines()[1:] == [
+        f'le,1,{2**70},{2**71},true,"big"',
+        'gt,2,7/2,3,false,"a ""quoted"", note"',
+        "eq,3,115,115,true,",
+        'ne,4,1710,1711,false,"off by one"',
+    ]
