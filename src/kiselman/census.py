@@ -25,7 +25,7 @@ from itertools import zip_longest
 from typing import Iterator
 
 from .reports import BoundReport
-from .words import ResourceGuardError, Word, _letter_masks, is_canonical, length_bound
+from .words import Word, _guard, _letter_masks, is_canonical, length_bound
 
 __all__ = [
     "Census",
@@ -38,11 +38,6 @@ __all__ = [
     "verify_subalphabet_embedding",
     "verify_lower_bound_construction",
 ]
-
-GUARD_RANK = 8
-# counts held by the census table, reachable states times count-vector length
-COUNT_BUDGET = 4_000_000
-
 
 @dataclass(frozen=True)
 class Census:
@@ -80,34 +75,16 @@ class LongestCensus:
         return self.max_length == length_bound(self.rank)
 
 
-def _check_rank(n: int, allow_large: bool) -> None:
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
-    if n >= GUARD_RANK and not allow_large:
-        raise ResourceGuardError(
-            f"rank {n} enumeration refused (counts grow double-exponentially); "
-            f"pass allow_large=True to override"
-        )
-
-
-def _check_count_cost(n: int, allow_large: bool) -> None:
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
-    cost = (n * 2**n // 2 + 1) * (length_bound(n) + 1)
-    if cost > COUNT_BUDGET and not allow_large:
-        raise ResourceGuardError(
-            f"rank {n} count refused: its table would hold up to {cost} counts "
-            f"(budget {COUNT_BUDGET}); pass allow_large=True to override"
-        )
-
-
-def _extension_table(n: int) -> dict[tuple[int, int], tuple[int, ...]]:
+def _extension_table(n: int, allow_large: bool = False) -> dict[tuple[int, int], tuple[int, ...]]:
     """Extension counts by length for every state reachable from the empty word.
 
     Entry l of a state's tuple counts the canonical words of length l that
     may follow any prefix in that state.  The last entry is never zero, so
-    the tuple's length minus one is the state's longest extension.
+    the tuple's length minus one is the state's longest extension.  The
+    table is guarded by the counts it can hold, n * 2^(n-1) + 1 reachable
+    states times L(n) + 1 lengths; a negative rank is a ValueError.
     """
+    _guard((length_bound(n) + 1) * (n * 2**n // 2 + 1), f"rank {n} census table", allow_large)
     masks = _letter_masks(n)
     table: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -133,7 +110,7 @@ def iter_canonical(n: int, *, allow_large: bool = False) -> Iterator[tuple[int, 
     in increasing letter order, so equal-length words appear
     lexicographically and every prefix precedes its extensions.
     """
-    _check_rank(n, allow_large)
+    _guard(count(n, allow_large=allow_large).total, f"rank {n} word listing", allow_large)
     masks = _letter_masks(n)
     stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     while stack:
@@ -154,8 +131,7 @@ def count(n: int, *, allow_large: bool = False) -> Census:
     cost follows the n * 2^(n-1) + 1 reachable states times the length
     bound rather than the number of words.
     """
-    _check_count_cost(n, allow_large)
-    by_len = _extension_table(n)[0, 0]
+    by_len = _extension_table(n, allow_large)[0, 0]
     return Census(
         rank=n,
         total=sum(by_len),
@@ -175,9 +151,10 @@ def filtered_recount(n: int, *, allow_large: bool = False) -> Census:
     no state logic with the depth-first walk or the census DP.  Stops at
     the closed-form length bound L(n): a word of length L(n) + 1 that
     passes the filter raises RuntimeError, so a faulty filter fails
-    before its levels can grow without bound.
+    before its levels can grow without bound.  Its guard alone reads the
+    census DP's total.
     """
-    _check_rank(n, allow_large)
+    _guard(count(n, allow_large=allow_large).total, f"rank {n} recount", allow_large)
     letters = [(x, bytes((x,))) for x in range(1, n + 1)]
     bound = length_bound(n)
     by_length: dict[int, int] = {}
@@ -210,8 +187,9 @@ def longest_census(n: int, *, allow_large: bool = False) -> LongestCensus:
     """
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
-    _check_rank(n, allow_large)
-    table = _extension_table(n)
+    table = _extension_table(n, allow_large)
+    # the top coefficient counts the maximal words the walk will list
+    _guard(table[0, 0][-1], f"rank {n} maximal-word listing", allow_large)
     masks = _letter_masks(n)
     best = len(table[0, 0]) - 1
     words: list[tuple[int, ...]] = []
@@ -249,7 +227,6 @@ def verify_odd_structure(n: int, *, allow_large: bool = False) -> BoundReport:
         raise ValueError(f"factorization of maximal words only holds for odd ranks, got {n}")
     if n < 3:
         raise ValueError(f"need rank >= 3, got {n}")
-    _check_rank(n, allow_large)
     outer = longest_census(n, allow_large=allow_large)
     inner = longest_census(n - 2, allow_large=allow_large)
     return _odd_structure_report(outer, inner)
@@ -297,7 +274,6 @@ def verify_subalphabet_embedding(n: int, *, allow_large: bool = False) -> BoundR
     """
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
-    _check_rank(n, allow_large)
     smaller = set(iter_canonical(n - 1, allow_large=allow_large))
     without_top = set()
     without_bottom = set()
@@ -326,7 +302,8 @@ def verify_lower_bound_construction(n: int, *, allow_large: bool = False) -> Bou
     inner alphabet {2, ..., n+1}, both w 1 (n+2) w' and w (n+2) 1 w' must
     be canonical, and all composites pairwise distinct.
     """
-    _check_rank(n + 2, allow_large)
+    held = 2 * count(n, allow_large=allow_large).total ** 2
+    _guard(held, f"rank {n + 2} doubling composites", allow_large)
     inner = [tuple(x + 1 for x in w) for w in iter_canonical(n, allow_large=allow_large)]
     composites = set()
     failures = 0

@@ -20,7 +20,7 @@ from typing import Iterator
 from . import reduce
 from .reduce import canonical_form
 from .reports import BoundReport
-from .words import ResourceGuardError, Word, _first_owed, _letter_masks
+from .words import Word, _first_owed, _guard, _letter_masks
 
 __all__ = [
     "CongruenceClass",
@@ -29,9 +29,6 @@ __all__ = [
     "certify_reducer",
     "verify_reducer_against_oracle",
 ]
-
-DEFAULT_MAX_WORDS = 4_000_000
-
 
 @dataclass(frozen=True)
 class CongruenceClass:
@@ -79,7 +76,7 @@ def _word(i: int, n: int, offset: list[int]) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
-def _closure(n: int, max_len: int, max_words: int) -> list[int]:
+def _closure(n: int, max_len: int) -> list[int]:
     """root[i], the index of the first word in word i's class.
 
     Union-find whose roots keep the smaller index, so each class's root is
@@ -93,11 +90,7 @@ def _closure(n: int, max_len: int, max_words: int) -> list[int]:
         raise ValueError(f"rank must be nonnegative, got {n}")
     power, offset = _layout(n, max_len)
     total = offset[-1]
-    if total > max_words:
-        raise ResourceGuardError(
-            f"congruence closure over rank {n}, length <= {max_len} needs {total} words "
-            f"(guard: {max_words}); raise max_words to override"
-        )
+    _guard(total, f"congruence closure over rank {n}, length <= {max_len}")
     parent = list(range(total))
 
     def merge(src: int, dst: int, count: int) -> None:
@@ -134,9 +127,7 @@ def _closure(n: int, max_len: int, max_words: int) -> list[int]:
     return parent
 
 
-def congruence_closure(
-    n: int, max_len: int, *, max_words: int = DEFAULT_MAX_WORDS
-) -> list[CongruenceClass]:
+def congruence_closure(n: int, max_len: int) -> list[CongruenceClass]:
     """Classes of the defining-relation congruence on words of length <= max_len.
 
     The closure is exact within the cap: every relation instance whose two
@@ -145,7 +136,7 @@ def congruence_closure(
     certification checks detect.  Classes are ordered by their first
     member, and members by length, then lexicographically.
     """
-    root = _closure(n, max_len, max_words)
+    root = _closure(n, max_len)
     masks = _letter_masks(n)
     members: dict[int, list[tuple[int, ...]]] = {}
     canonical: dict[int, list[tuple[int, ...]]] = {}
@@ -202,9 +193,7 @@ def _canonical_by_class(root: list[int], kept: int, canonical: list[int]) -> dic
     return by_class
 
 
-def certify_reducer(
-    n: int, max_len: int, *, max_words: int = DEFAULT_MAX_WORDS
-) -> OracleCertification:
+def certify_reducer(n: int, max_len: int) -> OracleCertification:
     """Run the oracle and check the reducer against every class.
 
     One owed-state pass per word, the reducer's own deletion step, finds
@@ -222,7 +211,7 @@ def certify_reducer(
     """
     step = reduce._deletion_index  # the reducer's own lookup, patched or not
     masks = _letter_masks(n)
-    root = _closure(n, max_len, max_words)
+    root = _closure(n, max_len)
     kept = len(root)  # the words of length <= max_len come first in any universe
     canonical = [i for i, w in enumerate(_universe(n, max_len)) if step(w, masks) is None]
     by_class = _canonical_by_class(root, kept, canonical)
@@ -232,7 +221,7 @@ def certify_reducer(
     # red[i]: the index of word i's reduction
     red = [_index(canonical_form(Word(w, n)).word.letters, n, offset) for w in _universe(n, max_len)]
     if retried:
-        root = _closure(n, cap, max_words)
+        root = _closure(n, cap)
         for ell in (max_len + 1, max_len + 2):
             here, shorter = offset[ell], offset[ell - 1]
             for value, w in enumerate(product(range(1, n + 1), repeat=ell)):
@@ -295,16 +284,14 @@ def certify_reducer(
     )
 
 
-def verify_reducer_against_oracle(
-    n: int, max_len: int, *, max_words: int = DEFAULT_MAX_WORDS
-) -> BoundReport:
+def verify_reducer_against_oracle(n: int, max_len: int) -> BoundReport:
     """BoundReport form of the reducer certification.
 
     lhs is the number of congruence classes, rhs the number of canonical
     words in the universe; the check passes iff they agree and the reducer
     maps every member of every class to its canonical member.
     """
-    cert = certify_reducer(n, max_len, max_words=max_words)
+    cert = certify_reducer(n, max_len)
     note = f"words of length <= {cert.max_len}"
     if cert.retried:
         note += (

@@ -30,6 +30,22 @@ class ResourceGuardError(RuntimeError):
     """Raised when a computation would exceed its configured resource guard."""
 
 
+# items (words listed or held, counts tabulated) one call may take on
+BUDGET = 4_000_000
+
+
+def _guard(cost: int, what: str, allow_large: bool = False) -> None:
+    """Refuse `what`, which lists or holds `cost` items, beyond BUDGET."""
+    if cost > BUDGET and not allow_large:
+        # a cost past 64 bits is stated by its magnitude: its decimal digits
+        # could exceed the interpreter's limit on int-to-str conversion
+        size = cost if cost.bit_length() <= 64 else f"about 2^{cost.bit_length() - 1}"
+        raise ResourceGuardError(
+            f"{what} refused: {size} items exceed the budget of {BUDGET}; "
+            f"pass allow_large=True where offered, or raise kiselman.words.BUDGET"
+        )
+
+
 def length_bound(n: int) -> int:
     """Maximal possible length of a canonical word over rank n.
 
@@ -112,13 +128,9 @@ def _letter_masks(n: int) -> tuple[tuple[int, int, int], ...]:
     as owing both.  A prefix stays canonical when x is appended iff x's bit
     is in neither mask.
     """
-    masks = []
-    for x in range(1, n + 1):
-        bit = 1 << (x - 1)
-        above = sum(1 << (y - 1) for y in range(x + 1, n + 1))
-        below = sum(1 << (y - 1) for y in range(1, x))
-        masks.append((bit, ~above, ~below))
-    return tuple(masks)
+    full = (1 << n) - 1
+    # the letters above x are full less bits 1..x, those below are bits 1..x-1
+    return tuple((bit, ~(full ^ ((bit << 1) - 1)), ~(bit - 1)) for bit in (1 << k for k in range(n)))
 
 
 def _first_owed(

@@ -236,6 +236,29 @@ def test_rank_guard():
         next(iter_canonical(9))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: next(iter_canonical(7)),
+        lambda: filtered_recount(7),
+        lambda: verify_lower_bound_construction(5),
+        lambda: verify_subalphabet_embedding(7),
+        lambda: longest_census(10),
+    ],
+    ids=["iter_canonical", "filtered_recount", "lower_bound", "embedding", "longest"],
+)
+def test_listing_refused_by_its_size(call):
+    # each refusal comes from the census DP's exact size, before any long listing
+    with pytest.raises(ResourceGuardError, match="budget of 4000000"):
+        call()
+
+
+def test_small_listings_of_large_rank_allowed():
+    # 32 768 maximal words at rank 9, and f(9) = 2 * f(7)^2, fit the budget
+    assert longest_census(9).count == 32768
+    assert verify_odd_structure(9).holds
+
+
 def test_census_json_roundtrip():
     c = replace(count(3), longest_count=longest_census(3).count)
     payload = json.loads(c.to_json())

@@ -93,6 +93,26 @@ def test_count_guard_without_allow_large(capsys):
     assert "allow" in capsys.readouterr().err
 
 
+def test_huge_rank_guard_message(capsys):
+    # a cost this large is stated by its magnitude, not by its decimal digits
+    assert main(["count", "--rank", "10000"]) == 2
+    err = capsys.readouterr().err
+    assert "budget of 4000000" in err and "allow" in err
+    assert len(err.strip()) < 200
+
+
+def test_verify_refuses_unaffordable_rank(capsys):
+    assert main(["verify", "--suite", "structure", "--max-n", "7"]) == 2
+    assert "budget of 4000000" in capsys.readouterr().err
+
+
+def test_check_at_huge_rank(capsys):
+    # the witness does not depend on the rank, and the transition table is
+    # built in closed form, so a rank of 10 000 answers at once
+    assert main(["check", "1 2 1", "--rank", "10000"]) == 1
+    assert capsys.readouterr().out == "not canonical (letter 1, positions 1,3)\n"
+
+
 def test_verify_identities(capsys):
     assert main(["verify", "--suite", "identities", "--max-n", "4"]) == 0
     out = capsys.readouterr().out

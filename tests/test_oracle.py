@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 
 from kiselman import oracle, reduce
+from kiselman.census import count
 from kiselman.oracle import (
     CongruenceClass,
     OracleCertification,
@@ -190,14 +191,18 @@ def test_certification_json_fields():
     assert payload["violations"] == []
 
 
-def test_universe_guard():
+def test_universe_guard(monkeypatch):
     with pytest.raises(ResourceGuardError):
         congruence_closure(4, 12)
     with pytest.raises(ResourceGuardError):
         certify_reducer(4, 12)
-    # explicit budget override is honored
+    # one budget, read at call time, guards the census and the oracle alike
+    monkeypatch.setattr("kiselman.words.BUDGET", 10)
     with pytest.raises(ResourceGuardError):
-        congruence_closure(2, 6, max_words=10)
+        count(3)
+    assert count(3, allow_large=True).total == 18
+    with pytest.raises(ResourceGuardError):
+        congruence_closure(2, 6)
 
 
 @pytest.mark.parametrize("n,max_len", CLASS_PAIRS)

@@ -5,6 +5,7 @@ import pytest
 from kiselman.words import (
     CanonicalViolation,
     Word,
+    _letter_masks,
     canonical_violation,
     is_canonical,
     length_bound,
@@ -154,3 +155,15 @@ def test_plus_one_check():
 def test_content():
     w = Word((2, 1, 3, 2), 3)
     assert w.content == frozenset({1, 2, 3})
+
+
+def test_letter_masks_match_their_definition():
+    # the transition table by its definition: each letter's bit, then the
+    # complements of the letters above it and of the letters below it
+    for n in range(41):
+        expected = []
+        for x in range(1, n + 1):
+            above = sum(1 << (y - 1) for y in range(x + 1, n + 1))
+            below = sum(1 << (y - 1) for y in range(1, x))
+            expected.append((1 << (x - 1), ~above, ~below))
+        assert _letter_masks(n) == tuple(expected), n
