@@ -98,13 +98,13 @@ def prefix_upper_bound(n: int) -> int:
     return (ell + 1) * multinomial(list(maximal_multiset(n).values()))
 
 
-def multinomial_identity_check(k: int, *, allow_large: bool = False) -> BoundReport:
+def multinomial_identity_check(k: int) -> BoundReport:
     """Exact identity: the maximal-multiset multinomial for rank 2k equals
     the product over h = 1..k of C(2*2^h - 2, 2^(h-1)) * C(3*2^(h-1) - 2, 2^(h-1))."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > IDENTITY_GUARD_K and not allow_large:
-        raise ValueError(f"k = {k} exceeds guard {IDENTITY_GUARD_K}; pass allow_large=True")
+    if k > IDENTITY_GUARD_K:
+        raise ValueError(f"k = {k} exceeds guard {IDENTITY_GUARD_K} (kiselman.bounds.IDENTITY_GUARD_K)")
     lhs = multinomial(list(maximal_multiset(2 * k).values()))
     rhs = 1
     for h in range(1, k + 1):
@@ -114,7 +114,7 @@ def multinomial_identity_check(k: int, *, allow_large: bool = False) -> BoundRep
     )
 
 
-def binomial_lemma_check(N: int, part: int, *, allow_large: bool = False) -> BoundReport:
+def binomial_lemma_check(N: int, part: int) -> BoundReport:
     """Certify one of the three binomial estimates in cleared rational form.
 
     Part 1: C(2N,N)^2 * N * (355/113) <= 2^(4N)
@@ -126,8 +126,8 @@ def binomial_lemma_check(N: int, part: int, *, allow_large: bool = False) -> Bou
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    if N > LEMMA_GUARD_N and not allow_large:
-        raise ValueError(f"N = {N} exceeds guard {LEMMA_GUARD_N}; pass allow_large=True")
+    if N > LEMMA_GUARD_N:
+        raise ValueError(f"N = {N} exceeds guard {LEMMA_GUARD_N} (kiselman.bounds.LEMMA_GUARD_N)")
     lhs: Fraction | int
     rhs: Fraction | int
     if part == 1:
@@ -145,19 +145,19 @@ def binomial_lemma_check(N: int, part: int, *, allow_large: bool = False) -> Bou
     return BoundReport.at_most(f"binomial-estimate-part-{part}", N, lhs, rhs, note)
 
 
-def even_upper_bound(k: int, *, allow_large: bool = False) -> int:
+def even_upper_bound(k: int) -> int:
     """The even-rank upper bound 2^(6 * 2^k) on the count for rank 2k."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > EVEN_BOUND_GUARD_K and not allow_large:
-        raise ValueError(f"k = {k} exceeds guard {EVEN_BOUND_GUARD_K}; pass allow_large=True")
+    if k > EVEN_BOUND_GUARD_K:
+        raise ValueError(f"k = {k} exceeds guard {EVEN_BOUND_GUARD_K} (kiselman.bounds.EVEN_BOUND_GUARD_K)")
     return 2 ** (6 * 2**k)
 
 
-def even_upper_bound_check(k: int, *, allow_large: bool = False) -> BoundReport:
+def even_upper_bound_check(k: int) -> BoundReport:
     """Companion check: the prefix bound for rank 2k stays below 2^(6*2^k)."""
     # the guarded bound first: the multinomial's cost has no guard of its own
-    rhs = even_upper_bound(k, allow_large=allow_large)
+    rhs = even_upper_bound(k)
     return BoundReport.at_most(
         "prefix-bound-below-even-upper-bound", k, prefix_upper_bound(2 * k), rhs, f"rank {2 * k}"
     )

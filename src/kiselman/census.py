@@ -103,14 +103,19 @@ def _extension_table(n: int, allow_large: bool = False) -> dict[tuple[int, int],
     return table
 
 
-def iter_canonical(n: int, *, allow_large: bool = False) -> Iterator[tuple[int, ...]]:
+def iter_canonical(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every canonical word over rank n exactly once.
 
     Words come out as raw letter tuples in depth-first order with children
     in increasing letter order, so equal-length words appear
     lexicographically and every prefix precedes its extensions.
     """
-    _guard(count(n, allow_large=allow_large).total, f"rank {n} word listing", allow_large)
+    _guard(count(n).total, f"rank {n} word listing")
+    yield from _walk(n)
+
+
+def _walk(n: int) -> Iterator[tuple[int, ...]]:
+    # iter_canonical's walk, unguarded, for callers whose own guard covers it
     masks = _letter_masks(n)
     stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     while stack:
@@ -140,7 +145,7 @@ def count(n: int, *, allow_large: bool = False) -> Census:
     )
 
 
-def filtered_recount(n: int, *, allow_large: bool = False) -> Census:
+def filtered_recount(n: int) -> Census:
     """Independent census: breadth-first extend-and-filter.
 
     Extends every canonical word of length l by every letter x and keeps
@@ -152,11 +157,11 @@ def filtered_recount(n: int, *, allow_large: bool = False) -> Census:
     the closed-form length bound L(n): a word of length L(n) + 1 that
     passes the filter raises RuntimeError, so a faulty filter fails
     before its levels can grow without bound.  Its guard alone reads the
-    census DP's total.
+    census DP's total, weighed by the letters of the words it holds.
     """
-    _guard(count(n, allow_large=allow_large).total, f"rank {n} recount", allow_large)
-    letters = [(x, bytes((x,))) for x in range(1, n + 1)]
     bound = length_bound(n)
+    _guard(count(n).total * bound, f"rank {n} recount")
+    letters = [(x, bytes((x,))) for x in range(1, n + 1)]
     by_length: dict[int, int] = {}
     level = [b""]
     while level:
@@ -179,7 +184,7 @@ def filtered_recount(n: int, *, allow_large: bool = False) -> Census:
     )
 
 
-def longest_census(n: int, *, allow_large: bool = False) -> LongestCensus:
+def longest_census(n: int) -> LongestCensus:
     """All canonical words of maximal length, in lexicographic order.
 
     Walks depth-first with children in increasing letter order and enters a
@@ -187,11 +192,11 @@ def longest_census(n: int, *, allow_large: bool = False) -> LongestCensus:
     """
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
-    table = _extension_table(n, allow_large)
-    # the top coefficient counts the maximal words the walk will list
-    _guard(table[0, 0][-1], f"rank {n} maximal-word listing", allow_large)
-    masks = _letter_masks(n)
+    table = _extension_table(n)
     best = len(table[0, 0]) - 1
+    # the walk holds the top coefficient's maximal words, of `best` letters each
+    _guard(table[0, 0][-1] * best, f"rank {n} maximal-word listing")
+    masks = _letter_masks(n)
     words: list[tuple[int, ...]] = []
     path: list[int] = []
 
@@ -214,7 +219,7 @@ def longest_census(n: int, *, allow_large: bool = False) -> LongestCensus:
     return LongestCensus(rank=n, max_length=best, count=len(words), words=tuple(words))
 
 
-def verify_odd_structure(n: int, *, allow_large: bool = False) -> BoundReport:
+def verify_odd_structure(n: int) -> BoundReport:
     """Check the factorization of maximal words for odd rank.
 
     Every canonical word of maximal length must split as w (1 n) w' or
@@ -227,9 +232,7 @@ def verify_odd_structure(n: int, *, allow_large: bool = False) -> BoundReport:
         raise ValueError(f"factorization of maximal words only holds for odd ranks, got {n}")
     if n < 3:
         raise ValueError(f"need rank >= 3, got {n}")
-    outer = longest_census(n, allow_large=allow_large)
-    inner = longest_census(n - 2, allow_large=allow_large)
-    return _odd_structure_report(outer, inner)
+    return _odd_structure_report(longest_census(n), longest_census(n - 2))
 
 
 def _odd_structure_report(outer: LongestCensus, inner: LongestCensus) -> BoundReport:
@@ -265,7 +268,7 @@ def _odd_structure_report(outer: LongestCensus, inner: LongestCensus) -> BoundRe
     )
 
 
-def verify_subalphabet_embedding(n: int, *, allow_large: bool = False) -> BoundReport:
+def verify_subalphabet_embedding(n: int) -> BoundReport:
     """Check that dropping a top or bottom letter embeds the smaller rank.
 
     The canonical words of rank n avoiding letter n must be exactly the
@@ -274,16 +277,16 @@ def verify_subalphabet_embedding(n: int, *, allow_large: bool = False) -> BoundR
     """
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
-    smaller = set(iter_canonical(n - 1, allow_large=allow_large))
-    without_top = set()
-    without_bottom = set()
-    total = 0
-    for w in iter_canonical(n, allow_large=allow_large):
-        total += 1
+    # the three sets held list rank n-1; rank n is walked before rank n-1, so its guard refuses early
+    _guard(count(n - 1).total * length_bound(n - 1), f"rank {n - 1} word sets")
+    without_top, without_bottom = set(), set()
+    # the empty word comes first, so total is always bound
+    for total, w in enumerate(iter_canonical(n), 1):
         if n not in w:
             without_top.add(w)
         if 1 not in w:
             without_bottom.add(tuple(x - 1 for x in w))
+    smaller = set(_walk(n - 1))
     holds = without_top == smaller and without_bottom == smaller and len(smaller) <= total
     return BoundReport(
         name="subalphabet-words-embed-smaller-rank",
@@ -295,16 +298,15 @@ def verify_subalphabet_embedding(n: int, *, allow_large: bool = False) -> BoundR
     )
 
 
-def verify_lower_bound_construction(n: int, *, allow_large: bool = False) -> BoundReport:
+def verify_lower_bound_construction(n: int) -> BoundReport:
     """Check the doubling construction behind count(n+2) >= 2 * count(n)^2.
 
     For every ordered pair (w, w') of canonical words shifted into the
     inner alphabet {2, ..., n+1}, both w 1 (n+2) w' and w (n+2) 1 w' must
     be canonical, and all composites pairwise distinct.
     """
-    held = 2 * count(n, allow_large=allow_large).total ** 2
-    _guard(held, f"rank {n + 2} doubling composites", allow_large)
-    inner = [tuple(x + 1 for x in w) for w in iter_canonical(n, allow_large=allow_large)]
+    _guard(2 * count(n).total ** 2 * (2 * length_bound(n) + 2), f"rank {n + 2} doubling composites")
+    inner = [tuple(x + 1 for x in w) for w in _walk(n)]
     composites = set()
     failures = 0
     for w in inner:
@@ -315,7 +317,7 @@ def verify_lower_bound_construction(n: int, *, allow_large: bool = False) -> Bou
                     failures += 1
                 composites.add(u)
     expected = 2 * len(inner) ** 2
-    total = count(n + 2, allow_large=allow_large).total
+    total = count(n + 2).total
     holds = failures == 0 and len(composites) == expected and expected <= total
     return BoundReport(
         name="2-count-squared-below-count-n-plus-2",

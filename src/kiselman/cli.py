@@ -47,7 +47,10 @@ def cmd_mul(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    result = census.count(args.rank, allow_large=args.allow_large)
+    try:
+        result = census.count(args.rank, allow_large=args.allow_large)
+    except ResourceGuardError as exc:
+        raise ResourceGuardError(f"{exc}; pass --allow-large to override") from None
     if args.longest:
         # the number of maximal words is the top coefficient of the census
         result = replace(result, longest_count=result.by_length[result.max_length])
@@ -163,11 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     # counts are recomputed on every call; these two stay so that scripts keep exit code 0
     p.add_argument("--cache", metavar="PATH", help="ignored (flag kept for scripts)")
     p.add_argument("--force", action="store_true", help="ignored (flag kept for scripts)")
-    p.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="override the resource guard on the size of the census table",
-    )
+    p.add_argument("--allow-large", action="store_true", help="override the census table's size guard")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run certified check suites")

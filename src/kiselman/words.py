@@ -30,7 +30,7 @@ class ResourceGuardError(RuntimeError):
     """Raised when a computation would exceed its configured resource guard."""
 
 
-# items (words listed or held, counts tabulated) one call may take on
+# items one call may take on: words streamed, letters held, counts tabulated
 BUDGET = 4_000_000
 
 
@@ -41,8 +41,7 @@ def _guard(cost: int, what: str, allow_large: bool = False) -> None:
         # could exceed the interpreter's limit on int-to-str conversion
         size = cost if cost.bit_length() <= 64 else f"about 2^{cost.bit_length() - 1}"
         raise ResourceGuardError(
-            f"{what} refused: {size} items exceed the budget of {BUDGET}; "
-            f"pass allow_large=True where offered, or raise kiselman.words.BUDGET"
+            f"{what} refused: {size} items exceed the budget of {BUDGET} (kiselman.words.BUDGET)"
         )
 
 

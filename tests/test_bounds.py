@@ -76,10 +76,11 @@ def test_multinomial_identity():
     assert multinomial_identity_check(2).lhs == 180
 
 
-def test_multinomial_identity_guard():
+def test_multinomial_identity_guard(monkeypatch):
     with pytest.raises(ValueError):
         multinomial_identity_check(9)
-    assert multinomial_identity_check(9, allow_large=True).holds
+    monkeypatch.setattr(bounds, "IDENTITY_GUARD_K", 9)
+    assert multinomial_identity_check(9).holds
 
 
 def test_binomial_lemma_all_parts():
@@ -97,12 +98,28 @@ def test_binomial_lemma_exact_rational():
     assert report.lhs == 15 * 16 and report.rhs == 27**2
 
 
-def test_binomial_lemma_guard_and_validation():
+def test_binomial_lemma_guard_and_validation(monkeypatch):
     with pytest.raises(ValueError):
         binomial_lemma_check(257, 1)
     with pytest.raises(ValueError):
         binomial_lemma_check(3, 4)
-    assert binomial_lemma_check(257, 1, allow_large=True).holds
+    monkeypatch.setattr(bounds, "LEMMA_GUARD_N", 257)
+    assert binomial_lemma_check(257, 1).holds
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: multinomial_identity_check(9), "k = 9 exceeds guard 8 (kiselman.bounds.IDENTITY_GUARD_K)"),
+        (lambda: binomial_lemma_check(257, 1), "N = 257 exceeds guard 256 (kiselman.bounds.LEMMA_GUARD_N)"),
+        (lambda: even_upper_bound(7), "k = 7 exceeds guard 6 (kiselman.bounds.EVEN_BOUND_GUARD_K)"),
+    ],
+)
+def test_guard_names_its_constant(call, message):
+    # the constant is the one override, so the refusal names it and nothing else
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_pi_upper_is_upper():

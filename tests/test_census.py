@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 from collections import Counter
@@ -5,6 +6,8 @@ from dataclasses import replace
 
 import pytest
 
+import kiselman
+from kiselman import census
 from kiselman.bounds import km_upper_bound, lower_bound, prefix_upper_bound
 from kiselman.census import (
     _extension_table,
@@ -244,13 +247,51 @@ def test_rank_guard():
         lambda: verify_lower_bound_construction(5),
         lambda: verify_subalphabet_embedding(7),
         lambda: longest_census(10),
+        lambda: longest_census(8),
     ],
-    ids=["iter_canonical", "filtered_recount", "lower_bound", "embedding", "longest"],
+    ids=["iter_canonical", "filtered_recount", "lower_bound", "embedding", "longest", "longest_letters"],
 )
 def test_listing_refused_by_its_size(call):
     # each refusal comes from the census DP's exact size, before any long listing
+    # (rank 8's 3 968 310 maximal words fit the budget, their 119 049 300 letters do not)
     with pytest.raises(ResourceGuardError, match="budget of 4000000"):
         call()
+
+
+def test_embedding_refused_before_the_smaller_rank_is_drawn(monkeypatch):
+    drawn = set()
+
+    def recording(walk):
+        def wrapped(n):
+            for i, word in enumerate(walk(n)):
+                if i == 0:
+                    drawn.add(n)
+                yield word
+
+        return wrapped
+
+    # iter_canonical draws from the unguarded walk, so both are wrapped
+    monkeypatch.setattr(census, "iter_canonical", recording(census.iter_canonical))
+    monkeypatch.setattr(census, "_walk", recording(census._walk))
+    with pytest.raises(ResourceGuardError, match="rank 7 word listing"):
+        verify_subalphabet_embedding(7)
+    assert drawn == set()
+    assert verify_subalphabet_embedding(3).holds and drawn == {2, 3}
+
+
+def test_count_is_the_only_override():
+    # every other guard is lifted by the module constant its refusal names
+    names = ("bounds", "census", "oracle", "reduce", "reports", "verify", "words")
+    offering = set()
+    for module in [kiselman, *(getattr(kiselman, name) for name in names)]:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            # an exception class has no inspectable signature, and takes no override
+            if isinstance(obj, type) and issubclass(obj, Exception):
+                continue
+            if callable(obj) and "allow_large" in inspect.signature(obj).parameters:
+                offering.add(obj)
+    assert offering == {count}
 
 
 def test_small_listings_of_large_rank_allowed():

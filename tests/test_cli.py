@@ -106,6 +106,15 @@ def test_verify_refuses_unaffordable_rank(capsys):
     assert "budget of 4000000" in capsys.readouterr().err
 
 
+def test_refusals_name_only_what_the_caller_can_do(capsys):
+    # verify has no override option, so its refusal names only the module constant
+    assert main(["verify", "--suite", "structure", "--max-n", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "kiselman.words.BUDGET" in err and "allow" not in err
+    assert main(["count", "--rank", "13"]) == 2
+    assert "--allow-large" in capsys.readouterr().err
+
+
 def test_check_at_huge_rank(capsys):
     # the witness does not depend on the rank, and the transition table is
     # built in closed form, so a rank of 10 000 answers at once
