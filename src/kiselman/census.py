@@ -8,9 +8,10 @@ still owed a smaller letter, letters still owed a greater one), giving
 O(1) state updates per appended letter.
 
 Two prefixes in the same state have the same canonical extensions, so
-`count` memoizes extension counts by length per state (the
-transfer-matrix method) and lists no word; `longest_census` uses the same
-table to walk only into states that can still reach the maximal length.
+`count` memoizes each state's extension counts by length, packed into one
+integer (the transfer-matrix method), and lists no word.  `longest_census`
+reads the states on maximal paths from the same table and builds their
+maximal suffixes depth by depth, from the last letter back.
 Two independent censuses cross-check it: `iter_canonical`, a depth-first
 walk over every canonical word, and `filtered_recount`, a breadth-first
 extend-and-filter recount over whole length levels, driven directly by
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Iterator
 
+from .bounds import prefix_upper_bound
 from .reports import BoundReport
 from .words import Word, _guard, _letter_masks, is_canonical, length_bound
 
@@ -75,32 +76,37 @@ class LongestCensus:
         return self.max_length == length_bound(self.rank)
 
 
-def _extension_table(n: int, allow_large: bool = False) -> dict[tuple[int, int], tuple[int, ...]]:
+def _extension_table(n: int, allow_large: bool = False) -> tuple[dict[tuple[int, int], int], int]:
     """Extension counts by length for every state reachable from the empty word.
 
-    Entry l of a state's tuple counts the canonical words of length l that
-    may follow any prefix in that state.  The last entry is never zero, so
-    the tuple's length minus one is the state's longest extension.  The
-    table is guarded by the counts it can hold, n * 2^(n-1) + 1 reachable
-    states times L(n) + 1 lengths; a negative rank is a ValueError.
+    Returns the table and its slot width.  A state's value packs one slot per
+    length, slot l counting the canonical words of length l that may follow
+    any prefix in that state: 1 + (sum of the children's values << slot).
+    The top slot is never zero, so (value.bit_length() - 1) // slot is the
+    longest extension.  The guard weighs the counts the table can hold, n *
+    2^(n-1) + 1 states times L(n) + 1 lengths; a negative rank is a ValueError.
     """
     _guard((length_bound(n) + 1) * (n * 2**n // 2 + 1), f"rank {n} census table", allow_large)
+    # a count is at most |K_n|, under the paper's prefix bound, so no slot carries:
+    # the width leans on that bound as L(n) does; tests check it on allowed ranks
+    slot = prefix_upper_bound(n).bit_length() + 1 if n else 2
     masks = _letter_masks(n)
-    table: dict[tuple[int, int], tuple[int, ...]] = {}
+    table: dict[tuple[int, int], int] = {}
 
-    def extensions(ns: int, ng: int) -> tuple[int, ...]:
+    def extensions(ns: int, ng: int) -> int:
         found = table.get((ns, ng))
         if found is None:
             blocked = ns | ng
-            children = []
+            below = 0
             for bit, keep_ns, keep_ng in masks:
                 if not (blocked & bit):
-                    children.append(extensions((ns & keep_ns) | bit, (ng & keep_ng) | bit))
-            found = table[ns, ng] = (1, *map(sum, zip_longest(*children, fillvalue=0)))
+                    below += extensions((ns & keep_ns) | bit, (ng & keep_ng) | bit)
+            found = table[ns, ng] = 1 + (below << slot)
         return found
 
     extensions(0, 0)
-    return table
+    del extensions  # a self-referring closure would keep the table until a gc pass
+    return table, slot
 
 
 def iter_canonical(n: int) -> Iterator[tuple[int, ...]]:
@@ -136,7 +142,9 @@ def count(n: int, *, allow_large: bool = False) -> Census:
     cost follows the n * 2^(n-1) + 1 reachable states times the length
     bound rather than the number of words.
     """
-    by_len = _extension_table(n, allow_large)[0, 0]
+    table, slot = _extension_table(n, allow_large)
+    packed, mask = table[0, 0], (1 << slot) - 1
+    by_len = [(packed >> (l * slot)) & mask for l in range((packed.bit_length() - 1) // slot + 1)]
     return Census(
         rank=n,
         total=sum(by_len),
@@ -187,35 +195,36 @@ def filtered_recount(n: int) -> Census:
 def longest_census(n: int) -> LongestCensus:
     """All canonical words of maximal length, in lexicographic order.
 
-    Walks depth-first with children in increasing letter order and enters a
-    child only if its longest extension still reaches the maximal length.
+    A forward pass lists, depth by depth, the states on maximal paths with
+    their children on such paths in increasing letter order; a backward
+    pass builds each state's maximal suffixes from those of the depth below.
     """
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
-    table = _extension_table(n)
-    best = len(table[0, 0]) - 1
-    # the walk holds the top coefficient's maximal words, of `best` letters each
-    _guard(table[0, 0][-1] * best, f"rank {n} maximal-word listing")
+    table, slot = _extension_table(n)
+    best = (table[0, 0].bit_length() - 1) // slot
+    # two depths' suffixes are held, each depth's extending distinct maximal
+    # prefixes, so at most twice the top coefficient's words of `best` letters
+    _guard(2 * (table[0, 0] >> (best * slot)) * best, f"rank {n} maximal-word listing")
     masks = _letter_masks(n)
-    words: list[tuple[int, ...]] = []
-    path: list[int] = []
-
-    def walk(ns: int, ng: int) -> None:
-        if len(path) == best:
-            words.append(tuple(path))
-            return
-        blocked = ns | ng
-        for x, (bit, keep_ns, keep_ng) in enumerate(masks, 1):
-            if not (blocked & bit):
-                child = ((ns & keep_ns) | bit, (ng & keep_ng) | bit)
-                # the path, the letter x and the child's longest
-                # extension, len(table[child]) - 1, must fill `best`
-                if len(path) + len(table[child]) == best:
-                    path.append(x)
-                    walk(*child)
-                    path.pop()
-
-    walk(0, 0)
+    levels, frontier = [], {(0, 0)}
+    for left in range(best - 1, -1, -1):
+        # state -> [((letter,), child)] for its children whose longest extension is `left`
+        level = {}
+        for ns, ng in frontier:
+            blocked, children = ns | ng, []
+            for x, (bit, keep_ns, keep_ng) in enumerate(masks, 1):
+                if not (blocked & bit):
+                    child = ((ns & keep_ns) | bit, (ng & keep_ng) | bit)
+                    if (table[child].bit_length() - 1) // slot == left:
+                        children.append(((x,), child))
+            level[ns, ng] = children
+        levels.append(level)
+        frontier = {child for children in level.values() for _, child in children}
+    suffixes = dict.fromkeys(frontier, [()])
+    for level in reversed(levels):
+        suffixes = {s: [x + t for x, child in kids for t in suffixes[child]] for s, kids in level.items()}
+    words = suffixes[0, 0]
     return LongestCensus(rank=n, max_length=best, count=len(words), words=tuple(words))
 
 

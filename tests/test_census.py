@@ -142,7 +142,14 @@ def test_dp_matches_forward_formulation():
 
 def test_reachable_state_count():
     for n in range(1, 11):
-        assert len(_extension_table(n)) == n * 2 ** (n - 1) + 1, n
+        assert len(_extension_table(n)[0]) == n * 2 ** (n - 1) + 1, n
+
+
+def test_slot_width_holds_every_count():
+    # the packed table's slot leaves a spare bit over the largest count it
+    # must hold, taken here from the unpacked breadth-first formulation
+    for n in range(11):
+        assert max(_forward_by_length(n).values()) < 2 ** (_extension_table(n)[1] - 1), n
 
 
 def test_maximal_word_counts_follow_odd_recursion_past_the_walk():
@@ -162,6 +169,52 @@ def test_rank_8_count_within_bounds():
     c = count(8).total
     assert lower_bound(8) <= c <= min(prefix_upper_bound(8), km_upper_bound(8))
     assert 2 * c >= (2 * KNOWN_TOTALS[6]) ** 2
+
+
+def _pruned_longest_walk(n):
+    # reference for the depth-by-depth listing: a depth-first walk with
+    # children in increasing letter order that enters a child only if its
+    # longest extension, from a memo of its own, still reaches the maximal length
+    masks = _letter_masks(n)
+    longest = {}
+
+    def reach(ns, ng):
+        found = longest.get((ns, ng))
+        if found is None:
+            blocked = ns | ng
+            found = longest[ns, ng] = max(
+                (
+                    1 + reach((ns & keep_ns) | bit, (ng & keep_ng) | bit)
+                    for bit, keep_ns, keep_ng in masks
+                    if not blocked & bit
+                ),
+                default=0,
+            )
+        return found
+
+    best = reach(0, 0)
+    words, path = [], []
+
+    def walk(ns, ng):
+        if len(path) == best:
+            words.append(tuple(path))
+            return
+        blocked = ns | ng
+        for x, (bit, keep_ns, keep_ng) in enumerate(masks, 1):
+            if not blocked & bit:
+                child = ((ns & keep_ns) | bit, (ng & keep_ng) | bit)
+                if len(path) + 1 + reach(*child) == best:
+                    path.append(x)
+                    walk(*child)
+                    path.pop()
+
+    walk(0, 0)
+    return tuple(words)
+
+
+def test_longest_census_matches_pruned_walk():
+    for n in (1, 2, 3, 4, 5, 6, 7, 9):
+        assert longest_census(n).words == _pruned_longest_walk(n), n
 
 
 def test_pruned_longest_census_matches_walk():
@@ -292,6 +345,15 @@ def test_count_is_the_only_override():
             if callable(obj) and "allow_large" in inspect.signature(obj).parameters:
                 offering.add(obj)
     assert offering == {count}
+
+
+def test_maximal_word_listing_weighs_two_depths(monkeypatch):
+    # the listing holds its output and the depth below it: 2 * 32 768 words of 46 letters
+    monkeypatch.setattr("kiselman.words.BUDGET", 2 * 32768 * 46 - 1)
+    with pytest.raises(ResourceGuardError, match="rank 9 maximal-word listing"):
+        longest_census(9)
+    monkeypatch.setattr("kiselman.words.BUDGET", 2 * 32768 * 46)
+    assert longest_census(9).count == 32768
 
 
 def test_small_listings_of_large_rank_allowed():

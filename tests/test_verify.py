@@ -1,6 +1,8 @@
 import pytest
 
 from kiselman import census, verify
+from kiselman.reports import BoundReport
+from kiselman.words import ResourceGuardError
 
 
 def test_reducer_suite_respects_max_n():
@@ -48,6 +50,22 @@ def test_structure_suite_builds_each_longest_census_once(monkeypatch):
     assert sorted(built) == [1, 2, 3, 4, 5]
     odd = [r for r in reports if r.name == "maximal-words-factor-as-w-1-n-w"]
     assert [(r.n_or_k, r.holds) for r in odd] == [(3, True), (5, True)]
+
+
+def test_run_all_refuses_before_the_slow_suites(monkeypatch):
+    def refused(max_n):
+        raise AssertionError("the reducer suite ran before the structure suite's guard")
+
+    monkeypatch.setattr(verify, "reducer_suite", refused)
+    with pytest.raises(ResourceGuardError, match="rank 7 word listing"):
+        verify.run_all(7)
+
+
+def test_run_all_keeps_suites_order(monkeypatch):
+    monkeypatch.setattr(verify, "reducer_suite", lambda max_n: [BoundReport("reducer-stub", max_n, 0, 0, True)])
+    expected = [r for suite in verify.SUITES for r in verify.run_suite(suite, 3)]
+    assert verify.run_all(3) == expected
+    assert expected[0].name == "reducer-stub"
 
 
 def test_run_suite_dispatch():
