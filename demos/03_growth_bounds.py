@@ -15,6 +15,7 @@ from kiselman import (
     lower_bound,
     monotone_sequence_check,
     prefix_upper_bound,
+    scaled_log,
 )
 
 MAX_RANK = 6
@@ -38,10 +39,9 @@ def main() -> None:
 
     print()
     print("scaled logarithms and limit estimates:")
-    points, reports = limit_report(counts)
-    for p in points:
-        print(f"  n={p.n}: {p.scaled_log:.6f}")
-    for r in reports:
+    for n, c in counts:
+        print(f"  n={n}: {scaled_log(n, c):.6f}")
+    for r in limit_report(counts):
         if r.name.endswith(("below-6", "sqrt2")):
             status = "holds" if r.holds else "FAILS"
             print(f"  {r.name} ({status}): {r.note}")

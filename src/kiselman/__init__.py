@@ -10,7 +10,6 @@ results with exact integer and rational arithmetic.
 __version__ = "0.1.0"
 
 from .bounds import (
-    SequencePoint,
     binomial_lemma_check,
     even_upper_bound,
     km_upper_bound,
@@ -20,7 +19,6 @@ from .bounds import (
     monotone_sequence_check,
     multinomial,
     multinomial_identity_check,
-    odd_upper_bound_exponent,
     prefix_upper_bound,
     scaled_log,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "Census",
     "LongestCensus",
     "BoundReport",
-    "SequencePoint",
     "CanonicalViolation",
     "ResourceGuardError",
     "length_bound",
@@ -74,7 +71,6 @@ __all__ = [
     "km_upper_bound",
     "prefix_upper_bound",
     "even_upper_bound",
-    "odd_upper_bound_exponent",
     "maximal_multiset",
     "multinomial",
     "multinomial_identity_check",

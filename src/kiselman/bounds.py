@@ -1,8 +1,8 @@
 """Exact evaluation of growth bounds and combinatorial identities.
 
 Every holds/fails decision is an integer or rational comparison; floats
-appear only in presentation values (the scaled logarithms and the odd
-exponent c * 2^(n/2)).  Where a bound involves pi in a denominator, pi is
+appear only in `scaled_log` and in the printed note constant
+ODD_EXPONENT_CONSTANT.  Where a bound involves pi in a denominator, pi is
 replaced by the larger rational 355/113, which makes the checked
 inequality strictly stronger than the original.  Logarithms are base 2
 throughout.
@@ -11,7 +11,6 @@ throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .reports import BoundReport
@@ -19,9 +18,7 @@ from .words import length_bound
 
 __all__ = [
     "PI_UPPER",
-    "LOG2_432",
     "ODD_EXPONENT_CONSTANT",
-    "SequencePoint",
     "km_upper_bound",
     "lower_bound",
     "maximal_multiset",
@@ -31,7 +28,6 @@ __all__ = [
     "binomial_lemma_check",
     "even_upper_bound",
     "even_upper_bound_check",
-    "odd_upper_bound_exponent",
     "odd_exponent_check",
     "scaled_log",
     "monotone_sequence_check",
@@ -39,21 +35,11 @@ __all__ = [
 ]
 
 PI_UPPER = Fraction(355, 113)  # pi < 355/113, so bounds checked with it are stronger
-LOG2_432 = math.log2(432)
-ODD_EXPONENT_CONSTANT = LOG2_432 / math.sqrt(2)  # ~6.1906
+ODD_EXPONENT_CONSTANT = math.log2(432) / math.sqrt(2)  # ~6.1906
 
 IDENTITY_GUARD_K = 8
 LEMMA_GUARD_N = 256
 EVEN_BOUND_GUARD_K = 6
-
-
-@dataclass(frozen=True)
-class SequencePoint:
-    """One term of the scaled-log sequence 2^(-n/2) * log2(2 * count)."""
-
-    n: int
-    count: int
-    scaled_log: float
 
 
 def km_upper_bound(n: int) -> int:
@@ -163,13 +149,6 @@ def even_upper_bound_check(k: int) -> BoundReport:
     )
 
 
-def odd_upper_bound_exponent(n: int) -> float:
-    """The exponent c * 2^(n/2) with c = log2(432)/sqrt(2), for odd rank n."""
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"need odd n >= 1, got {n}")
-    return ODD_EXPONENT_CONSTANT * 2 ** (n / 2)
-
-
 def odd_exponent_check(n: int) -> BoundReport:
     """Companion check: log2 of the prefix bound stays below c * 2^(n/2).
 
@@ -187,15 +166,14 @@ def odd_exponent_check(n: int) -> BoundReport:
     )
 
 
-def scaled_log(n: int, count: int) -> SequencePoint:
-    """Presentation value 2^(-n/2) * log2(2 * count), float at the last step."""
-    return SequencePoint(n=n, count=count, scaled_log=math.log2(2 * count) / 2 ** (n / 2))
+def scaled_log(n: int, count: int) -> float:
+    """Presentation value 2^(-n/2) * log2(2 * count), a float for printing only."""
+    return math.log2(2 * count) / 2 ** (n / 2)
 
 
-def _parity_runs(counts: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+def _parity_runs(counts: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     ordered = sorted(counts)
-    runs = [[p for p in ordered if p[0] % 2 == 0], [p for p in ordered if p[0] % 2 == 1]]
-    return [r for r in runs if len(r) >= 2]
+    return [p for p in ordered if p[0] % 2 == 0], [p for p in ordered if p[0] % 2 == 1]
 
 
 def monotone_sequence_check(counts: list[tuple[int, int]]) -> list[BoundReport]:
@@ -216,33 +194,30 @@ def monotone_sequence_check(counts: list[tuple[int, int]]) -> list[BoundReport]:
     return reports
 
 
-def limit_report(counts: list[tuple[int, int]]) -> tuple[list[SequencePoint], list[BoundReport]]:
-    """Scaled-log table plus the parity-limit estimates.
+def limit_report(counts: list[tuple[int, int]]) -> list[BoundReport]:
+    """The parity-limit estimates.
 
-    Emits one SequencePoint per rank, checks counts are monotone in rank
-    (the subalphabet embeddings), and certifies the latest even and odd
-    scaled values against the limits 6 and log2(432)/sqrt(2).  The limit
-    checks are exact: 2*count(2k) <= 2^(6*2^k) and
-    2*count(2k+1) <= 432^(2^k).
+    Checks counts are monotone in rank (the subalphabet embeddings), and
+    certifies the latest even and odd scaled values against the limits 6
+    and log2(432)/sqrt(2).  The limit checks are exact:
+    2*count(2k) <= 2^(6*2^k) and 2*count(2k+1) <= 432^(2^k).
     """
     ordered = sorted(counts)
-    points = [scaled_log(n, c) for n, c in ordered]
     reports = [
         BoundReport.at_most("count-monotone-in-rank", n, kn, km, f"count({n}) <= count({m})")
         for (n, kn), (m, km) in zip(ordered, ordered[1:])
         if m == n + 1
     ]
-    evens = [(n, c) for n, c in ordered if n % 2 == 0]
-    odds = [(n, c) for n, c in ordered if n % 2 == 1]
+    evens, odds = _parity_runs(counts)
     if evens:
         n, c = evens[-1]
-        estimate = scaled_log(n, c).scaled_log
+        estimate = scaled_log(n, c)
         note = f"empirical lower estimate for the even limit: {estimate:.6f} <= 6"
         cap = 2 ** (6 * 2 ** (n // 2))
         reports.append(BoundReport.at_most("even-scaled-log-below-6", n, 2 * c, cap, note))
     if odds:
         n, c = odds[-1]
-        estimate = scaled_log(n, c).scaled_log
+        estimate = scaled_log(n, c)
         note = (
             f"empirical lower estimate for the odd limit: "
             f"{estimate:.6f} <= {ODD_EXPONENT_CONSTANT:.6f}"
@@ -250,4 +225,4 @@ def limit_report(counts: list[tuple[int, int]]) -> tuple[list[SequencePoint], li
         cap = 432 ** (2 ** (n // 2))
         name = "odd-scaled-log-below-log2-432-over-sqrt2"
         reports.append(BoundReport.at_most(name, n, 2 * c, cap, note))
-    return points, reports
+    return reports

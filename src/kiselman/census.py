@@ -24,9 +24,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import words
 from .bounds import prefix_upper_bound
 from .reports import BoundReport
-from .words import Word, _guard, _letter_masks, is_canonical, length_bound
+from .words import ResourceGuardError, Word, _guard, _letter_masks, is_canonical, length_bound
 
 __all__ = [
     "Census",
@@ -85,7 +86,13 @@ def _extension_table(n: int, allow_large: bool = False) -> tuple[dict[tuple[int,
     The top slot is never zero, so (value.bit_length() - 1) // slot is the
     longest extension.  The guard weighs the counts the table can hold, n *
     2^(n-1) + 1 states times L(n) + 1 lengths; a negative rank is a ValueError.
+    Past 64 bits it weighs their bit lengths, as L(n) and 2^n may not fit in memory.
     """
+    # L(n) + 1 has ceil(n/2) + 1 bits, the states n - 1 + bl(n), the cost their sum or one less
+    bits = (n + 1) // 2 + n + n.bit_length()
+    if bits > 65 and not allow_large:
+        size = f"about 2^{bits - 1} items exceed the budget of {words.BUDGET} (kiselman.words.BUDGET)"
+        raise ResourceGuardError(f"rank {n} census table refused: {size}")
     _guard((length_bound(n) + 1) * (n * 2**n // 2 + 1), f"rank {n} census table", allow_large)
     # a count is at most |K_n|, under the paper's prefix bound, so no slot carries:
     # the width leans on that bound as L(n) does; tests check it on allowed ranks
@@ -167,8 +174,8 @@ def filtered_recount(n: int) -> Census:
     before its levels can grow without bound.  Its guard alone reads the
     census DP's total, weighed by the letters of the words it holds.
     """
+    _guard(count(n).total * length_bound(n), f"rank {n} recount")
     bound = length_bound(n)
-    _guard(count(n).total * bound, f"rank {n} recount")
     letters = [(x, bytes((x,))) for x in range(1, n + 1)]
     by_length: dict[int, int] = {}
     level = [b""]

@@ -93,7 +93,7 @@ def _table_rows(max_n: int) -> list[dict]:
                 "lower_bound": bounds.lower_bound(n),
                 "prefix_upper_bound": bounds.prefix_upper_bound(n) if n >= 1 else None,
                 "km_upper_bound": bounds.km_upper_bound(n) if n >= 1 else None,
-                "scaled_log": bounds.scaled_log(n, total).scaled_log,
+                "scaled_log": bounds.scaled_log(n, total),
             }
         )
     return rows

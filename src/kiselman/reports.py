@@ -6,9 +6,9 @@ with rhs (direction and meaning recorded in the name), built by
 which derive `holds` from those values.  Only compound verdicts use the
 plain constructor: the census structure checks, the oracle certification,
 the rank-4 counterexample and the always-holding printed-closed-form WARN.
-Big values are serialized as decimal strings so downstream consumers are
-never exposed to 64-bit overflow; rationals serialize as
-"numerator/denominator".
+Values are `int` or `Fraction`, and emitting any other raises TypeError;
+big ones are serialized as decimal strings so downstream consumers are
+never exposed to 64-bit overflow; rationals as "numerator/denominator".
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Union
 
 __all__ = ["BoundReport", "reports_to_json", "reports_to_csv", "format_value"]
 
-Value = Union[int, Fraction, float, None]
+Value = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,12 @@ class BoundReport:
 
 
 def format_value(value: Value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         raise TypeError("bool is not a report value")
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return repr(value)
     raise TypeError(f"unsupported report value type: {type(value)!r}")
 
 

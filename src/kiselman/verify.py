@@ -52,8 +52,7 @@ def bounds_suite(max_n: int = 6) -> list[BoundReport]:
             name = "count-below-even-upper-bound"
             reports.append(BoundReport.at_most(name, n // 2, c, cap, f"rank {n}"))
     reports.extend(bounds.monotone_sequence_check(list(counts.items())))
-    _, limit_reports = bounds.limit_report(list(counts.items()))
-    reports.extend(limit_reports)
+    reports.extend(bounds.limit_report(list(counts.items())))
     for k in range(1, max_n // 2 + 1):
         reports.append(bounds.even_upper_bound_check(k))
     for n in range(1, max_n + 1, 2):
@@ -74,13 +73,6 @@ def identities_suite(max_n: int = 6) -> list[BoundReport]:
         for part in (1, 2, 3):
             reports.append(bounds.binomial_lemma_check(N, part))
     return reports
-
-
-def _printed_closed_form(n: int) -> int:
-    # the printed formula for the number of maximal words at odd rank;
-    # enumeration contradicts it (see the WARN report), the recursion
-    # f(n) = 2 f(n-2)^2 gives 2^(2^((n-1)/2) - 1) instead
-    return 2 ** (2 ** ((n + 1) // 2)) // 2
 
 
 def _counterexample_report(longest: census.LongestCensus) -> BoundReport:
@@ -120,14 +112,11 @@ def structure_suite(max_n: int = 6) -> list[BoundReport]:
     for n in range(3, max_n + 1, 2):
         reports.append(census._odd_structure_report(longest[n], longest[n - 2]))
         enumerated = longest[n].count
-        printed = _printed_closed_form(n)
+        # the paper's printed formula for the maximal words coincides with its lower bound
+        printed = bounds.lower_bound(n)
         note = (
-            "agrees with the printed closed form"
-            if enumerated == printed
-            else (
-                f"WARN: enumerated {enumerated} maximal words, printed closed form "
-                f"gives {printed}; enumeration follows f(n) = 2*f(n-2)^2"
-            )
+            f"WARN: enumerated {enumerated} maximal words, printed closed form "
+            f"gives {printed}; enumeration follows f(n) = 2*f(n-2)^2"
         )
         name = "longest-count-vs-printed-closed-form"
         reports.append(BoundReport(name, n, enumerated, printed, holds=True, note=note))

@@ -125,8 +125,10 @@ def _letter_masks(n: int) -> tuple[tuple[int, int, int], ...]:
     no greater one.  Appending x clears the owed-smaller bit of every letter
     above x and the owed-greater bit of every letter below x, then marks x
     as owing both.  A prefix stays canonical when x is appended iff x's bit
-    is in neither mask.
+    is in neither mask.  The guard weighs the 64-bit words of its 3n
+    integers, which hold about 2n^2 bits.
     """
+    _guard(n * n // 32 + 3 * n, f"rank {n} transition table")
     full = (1 << n) - 1
     # the letters above x are full less bits 1..x, those below are bits 1..x-1
     return tuple((bit, ~(full ^ ((bit << 1) - 1)), ~(bit - 1)) for bit in (1 << k for k in range(n)))

@@ -18,7 +18,6 @@ from kiselman.bounds import (
     multinomial,
     multinomial_identity_check,
     odd_exponent_check,
-    odd_upper_bound_exponent,
     prefix_upper_bound,
     scaled_log,
 )
@@ -147,9 +146,6 @@ def test_even_upper_bound_check_guards_before_the_multinomial(monkeypatch):
 def test_odd_exponent():
     assert ODD_EXPONENT_CONSTANT == math.log2(432) / math.sqrt(2)
     assert round(ODD_EXPONENT_CONSTANT, 4) == 6.1906
-    assert odd_upper_bound_exponent(1) == ODD_EXPONENT_CONSTANT * math.sqrt(2)
-    with pytest.raises(ValueError):
-        odd_upper_bound_exponent(4)
     for n in range(1, 16, 2):
         report = odd_exponent_check(n)
         assert report.holds
@@ -176,17 +172,16 @@ def test_monotone_sequence_missing_pair():
 
 
 def test_scaled_log_values():
-    assert scaled_log(1, 2).scaled_log == pytest.approx(math.sqrt(2))
-    assert scaled_log(2, 5).scaled_log == pytest.approx(1.660964, abs=1e-6)
-    assert scaled_log(0, 1).scaled_log == 1.0
+    assert scaled_log(1, 2) == pytest.approx(math.sqrt(2))
+    assert scaled_log(2, 5) == pytest.approx(1.660964, abs=1e-6)
+    assert scaled_log(0, 1) == 1.0
 
 
 def test_limit_report():
-    points, reports = limit_report(COUNTS)
-    assert [p.n for p in points] == list(range(7))
+    reports = limit_report(COUNTS)
     assert all(r.holds for r in reports)
-    evens = [p.scaled_log for p in points if p.n % 2 == 0]
-    odds = [p.scaled_log for p in points if p.n % 2 == 1]
+    evens = [scaled_log(n, c) for n, c in COUNTS if n % 2 == 0]
+    odds = [scaled_log(n, c) for n, c in COUNTS if n % 2 == 1]
     assert evens == sorted(evens)
     assert odds == sorted(odds)
     names = {r.name for r in reports}

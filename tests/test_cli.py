@@ -122,6 +122,24 @@ def test_check_at_huge_rank(capsys):
     assert capsys.readouterr().out == "not canonical (letter 1, positions 1,3)\n"
 
 
+# a child that caps its own address space: a rank the guards miss dies there
+# of MemoryError, with a traceback and exit 1, instead of exhausting the machine
+LIMITED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+    "from kiselman.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("argv", [["count", "--rank", "1000000000000"], ["check", "1 2", "--rank", "200000"]])
+def test_huge_rank_refused_before_memory_runs_out(argv):
+    command = [sys.executable, "-c", LIMITED_MAIN, *argv]
+    proc = subprocess.run(command, capture_output=True, text=True, env=_package_env(), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
 def test_verify_identities(capsys):
     assert main(["verify", "--suite", "identities", "--max-n", "4"]) == 0
     out = capsys.readouterr().out

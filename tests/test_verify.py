@@ -1,7 +1,10 @@
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 from kiselman import census, verify
-from kiselman.reports import BoundReport
+from kiselman.reports import BoundReport, reports_to_json
 from kiselman.words import ResourceGuardError
 
 
@@ -78,3 +81,16 @@ def test_failing_and_all_hold():
     reports = verify.identities_suite(max_n=2)
     assert verify.all_hold(reports)
     assert verify.failing(reports) == []
+
+
+def test_exact_suites_output_is_pinned():
+    reports = verify.bounds_suite(6) + verify.identities_suite(6) + verify.structure_suite(6)
+    assert len(reports) == 268
+    for r in reports:
+        for value in (r.lhs, r.rhs):
+            assert isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool))
+    # the pinned digest; recompute it from the repository root with
+    # PYTHONPATH=src python -c "import hashlib, kiselman.verify as v, kiselman.reports as r; print(hashlib.sha256(
+    # r.reports_to_json(v.bounds_suite(6) + v.identities_suite(6) + v.structure_suite(6)).encode()).hexdigest())"
+    digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+    assert digest == "95f2325b2f8cfc7fc5f3a8a81dec0ab389cc6438095703bd5a54094877b81390"
