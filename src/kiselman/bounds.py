@@ -172,8 +172,7 @@ def scaled_log(n: int, count: int) -> float:
 
 
 def _parity_runs(counts: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    ordered = sorted(counts)
-    return [p for p in ordered if p[0] % 2 == 0], [p for p in ordered if p[0] % 2 == 1]
+    return [p for p in counts if p[0] % 2 == 0], [p for p in counts if p[0] % 2 == 1]
 
 
 def monotone_sequence_check(counts: list[tuple[int, int]]) -> list[BoundReport]:
@@ -184,7 +183,7 @@ def monotone_sequence_check(counts: list[tuple[int, int]]) -> list[BoundReport]:
     same-parity ranks.
     """
     reports = []
-    for run in _parity_runs(counts):
+    for run in _parity_runs(sorted(counts)):
         for (n, kn), (m, km) in zip(run, run[1:]):
             if m != n + 2:
                 raise ValueError(f"missing count between ranks {n} and {m}")
@@ -208,7 +207,7 @@ def limit_report(counts: list[tuple[int, int]]) -> list[BoundReport]:
         for (n, kn), (m, km) in zip(ordered, ordered[1:])
         if m == n + 1
     ]
-    evens, odds = _parity_runs(counts)
+    evens, odds = _parity_runs(ordered)
     if evens:
         n, c = evens[-1]
         estimate = scaled_log(n, c)

@@ -24,10 +24,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import words
 from .bounds import prefix_upper_bound
 from .reports import BoundReport
-from .words import ResourceGuardError, Word, _guard, _letter_masks, is_canonical, length_bound
+from .words import Word, _guard, _letter_masks, is_canonical, length_bound
 
 __all__ = [
     "Census",
@@ -86,18 +85,12 @@ def _extension_table(n: int, allow_large: bool = False) -> tuple[dict[tuple[int,
     The top slot is never zero, so (value.bit_length() - 1) // slot is the
     longest extension.  The guard weighs the counts the table can hold, n *
     2^(n-1) + 1 states times L(n) + 1 lengths; a negative rank is a ValueError.
-    Past 64 bits it weighs their bit lengths, as L(n) and 2^n may not fit in memory.
     """
-    # L(n) + 1 has ceil(n/2) + 1 bits, the states n - 1 + bl(n), the cost their sum or one less
-    bits = (n + 1) // 2 + n + n.bit_length()
-    if bits > 65 and not allow_large:
-        size = f"about 2^{bits - 1} items exceed the budget of {words.BUDGET} (kiselman.words.BUDGET)"
-        raise ResourceGuardError(f"rank {n} census table refused: {size}")
+    masks = _letter_masks(n)  # first: its guard, which nothing lifts, refuses ranks whose L(n) won't fit
     _guard((length_bound(n) + 1) * (n * 2**n // 2 + 1), f"rank {n} census table", allow_large)
     # a count is at most |K_n|, under the paper's prefix bound, so no slot carries:
     # the width leans on that bound as L(n) does; tests check it on allowed ranks
     slot = prefix_upper_bound(n).bit_length() + 1 if n else 2
-    masks = _letter_masks(n)
     table: dict[tuple[int, int], int] = {}
 
     def extensions(ns: int, ng: int) -> int:

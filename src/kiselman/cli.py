@@ -50,7 +50,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     try:
         result = census.count(args.rank, allow_large=args.allow_large)
     except ResourceGuardError as exc:
-        raise ResourceGuardError(f"{exc}; pass --allow-large to override") from None
+        hint = "; pass --allow-large to override" if "census table" in str(exc) else ""
+        raise ResourceGuardError(f"{exc}{hint}") from None
     if args.longest:
         # the number of maximal words is the top coefficient of the census
         result = replace(result, longest_count=result.by_length[result.max_length])

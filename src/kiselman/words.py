@@ -115,7 +115,6 @@ class CanonicalViolation(NamedTuple):
     second_pos: int
 
 
-@lru_cache(maxsize=None)
 def _letter_masks(n: int) -> tuple[tuple[int, int, int], ...]:
     """(bit, keep_ns, keep_ng) for each letter 1..n: the transition of the
     owed-smaller / owed-greater state.
@@ -125,10 +124,20 @@ def _letter_masks(n: int) -> tuple[tuple[int, int, int], ...]:
     no greater one.  Appending x clears the owed-smaller bit of every letter
     above x and the owed-greater bit of every letter below x, then marks x
     as owing both.  A prefix stays canonical when x is appended iff x's bit
-    is in neither mask.  The guard weighs the 64-bit words of its 3n
-    integers, which hold about 2n^2 bits.
+    is in neither mask.  The table is built once per rank; its guard, run on
+    every call that checks or reduces a word, weighs the 64-bit words of its
+    3n integers, about 2n^2 bits, and words a refusal only past BUDGET.
     """
-    _guard(n * n // 32 + 3 * n, f"rank {n} transition table")
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
+    cost = n * n // 32 + 3 * n
+    if cost > BUDGET:
+        _guard(cost, f"rank {n} transition table")
+    return _build_letter_masks(n)
+
+
+@lru_cache(maxsize=None)
+def _build_letter_masks(n: int) -> tuple[tuple[int, int, int], ...]:
     full = (1 << n) - 1
     # the letters above x are full less bits 1..x, those below are bits 1..x-1
     return tuple((bit, ~(full ^ ((bit << 1) - 1)), ~(bit - 1)) for bit in (1 << k for k in range(n)))

@@ -347,6 +347,17 @@ def test_count_is_the_only_override():
     assert offering == {count}
 
 
+def test_transition_table_guard_reads_the_budget_at_call_time(monkeypatch):
+    # rank 4's table weighs 12 words; a cached table is refused like a new one,
+    # and allow_large does not lift its guard, whatever the order of calls
+    assert len(_letter_masks(4)) == 4
+    monkeypatch.setattr("kiselman.words.BUDGET", 11)
+    with pytest.raises(ResourceGuardError, match="rank 4 transition table"):
+        _letter_masks(4)
+    with pytest.raises(ResourceGuardError, match="rank 4 transition table"):
+        count(4, allow_large=True)
+
+
 def test_maximal_word_listing_weighs_two_depths(monkeypatch):
     # the listing holds its output and the depth below it: 2 * 32 768 words of 46 letters
     monkeypatch.setattr("kiselman.words.BUDGET", 2 * 32768 * 46 - 1)

@@ -113,6 +113,10 @@ def test_refusals_name_only_what_the_caller_can_do(capsys):
     assert "kiselman.words.BUDGET" in err and "allow" not in err
     assert main(["count", "--rank", "13"]) == 2
     assert "--allow-large" in capsys.readouterr().err
+    # the transition table's guard has no override, so count's refusal of it offers none
+    assert main(["count", "--rank", "1000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert "transition table" in err and "allow" not in err
 
 
 def test_check_at_huge_rank(capsys):
@@ -132,7 +136,14 @@ LIMITED_MAIN = (
 )
 
 
-@pytest.mark.parametrize("argv", [["count", "--rank", "1000000000000"], ["check", "1 2", "--rank", "200000"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--rank", "1000000000000"],
+        ["count", "--rank", "1000000000000", "--allow-large"],
+        ["check", "1 2", "--rank", "200000"],
+    ],
+)
 def test_huge_rank_refused_before_memory_runs_out(argv):
     command = [sys.executable, "-c", LIMITED_MAIN, *argv]
     proc = subprocess.run(command, capture_output=True, text=True, env=_package_env(), timeout=60)
