@@ -87,7 +87,8 @@ def _extension_table(n: int, allow_large: bool = False) -> tuple[dict[tuple[int,
     2^(n-1) + 1 states times L(n) + 1 lengths; a negative rank is a ValueError.
     """
     masks = _letter_masks(n)  # first: its guard, which nothing lifts, refuses ranks whose L(n) won't fit
-    _guard((length_bound(n) + 1) * (n * 2**n // 2 + 1), f"rank {n} census table", allow_large)
+    if not allow_large:
+        _guard((length_bound(n) + 1) * (n * 2**n // 2 + 1), f"rank {n} census table")
     # a count is at most |K_n|, under the paper's prefix bound, so no slot carries:
     # the width leans on that bound as L(n) does; tests check it on allowed ranks
     slot = prefix_upper_bound(n).bit_length() + 1 if n else 2
@@ -117,11 +118,6 @@ def iter_canonical(n: int) -> Iterator[tuple[int, ...]]:
     lexicographically and every prefix precedes its extensions.
     """
     _guard(count(n).total, f"rank {n} word listing")
-    yield from _walk(n)
-
-
-def _walk(n: int) -> Iterator[tuple[int, ...]]:
-    # iter_canonical's walk, unguarded, for callers whose own guard covers it
     masks = _letter_masks(n)
     stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
     while stack:
@@ -295,7 +291,7 @@ def verify_subalphabet_embedding(n: int) -> BoundReport:
             without_top.add(w)
         if 1 not in w:
             without_bottom.add(tuple(x - 1 for x in w))
-    smaller = set(_walk(n - 1))
+    smaller = set(iter_canonical(n - 1))
     holds = without_top == smaller and without_bottom == smaller and len(smaller) <= total
     return BoundReport(
         name="subalphabet-words-embed-smaller-rank",
@@ -315,7 +311,7 @@ def verify_lower_bound_construction(n: int) -> BoundReport:
     be canonical, and all composites pairwise distinct.
     """
     _guard(2 * count(n).total ** 2 * (2 * length_bound(n) + 2), f"rank {n + 2} doubling composites")
-    inner = [tuple(x + 1 for x in w) for w in _walk(n)]
+    inner = [tuple(x + 1 for x in w) for w in iter_canonical(n)]
     composites = set()
     failures = 0
     for w in inner:

@@ -158,15 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="census of canonical words for one rank")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument(
-        "--by-length",
-        action="store_true",
-        help="include the per-length breakdown (included by default; flag kept for scripts)",
-    )
     p.add_argument("--longest", action="store_true", help="also count words of maximal length")
-    # counts are recomputed on every call; these two stay so that scripts keep exit code 0
-    p.add_argument("--cache", metavar="PATH", help="ignored (flag kept for scripts)")
-    p.add_argument("--force", action="store_true", help="ignored (flag kept for scripts)")
     p.add_argument("--allow-large", action="store_true", help="override the census table's size guard")
     p.set_defaults(func=cmd_count)
 

@@ -88,6 +88,8 @@ def _closure(n: int, max_len: int) -> list[int]:
     """
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
+    if max_len < 0:
+        raise ValueError(f"length cap must be nonnegative, got {max_len}")
     power, offset = _layout(n, max_len)
     total = offset[-1]
     _guard(total, f"congruence closure over rank {n}, length <= {max_len}")
@@ -182,23 +184,23 @@ class OracleCertification:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _canonical_by_class(root: list[int], kept: int, canonical: list[int]) -> dict[int, list[int]]:
+def _canonical_by_class(root: list[int], kept: int, red: list[int]) -> dict[int, list[int]]:
     # the classes reaching the first `kept` words, in order (a root is the
-    # first occurrence of its own value), each with its canonical members
+    # first occurrence of its own value), each with its canonical members,
+    # the words that reduce to themselves
     by_class: dict[int, list[int]] = {r: [] for r in dict.fromkeys(root[:kept])}
-    for i in canonical:
-        members = by_class.get(root[i])
-        if members is not None:
-            members.append(i)
+    for i, j in enumerate(red):
+        if j == i and root[i] in by_class:
+            by_class[root[i]].append(i)
     return by_class
 
 
 def certify_reducer(n: int, max_len: int) -> OracleCertification:
     """Run the oracle and check the reducer against every class.
 
-    One owed-state pass per word, the reducer's own deletion step, finds
-    the canonical words (those with nothing to delete), and
-    `canonical_form` reduces every word of length <= max_len.
+    `canonical_form` reduces every word of length <= max_len; a word is
+    canonical when it comes back unchanged, as any deletion shortens it.
+    The reducer's own deletion step runs only on the words past the cap.
 
     A class without a canonical member means the cap truncated a
     derivation: two short words can be congruent only through longer
@@ -213,26 +215,24 @@ def certify_reducer(n: int, max_len: int) -> OracleCertification:
     masks = _letter_masks(n)
     root = _closure(n, max_len)
     kept = len(root)  # the words of length <= max_len come first in any universe
-    canonical = [i for i, w in enumerate(_universe(n, max_len)) if step(w, masks) is None]
-    by_class = _canonical_by_class(root, kept, canonical)
-    retried = not all(by_class.values())
-    cap = max_len + 2 if retried else max_len
-    power, offset = _layout(n, cap)
+    # shorter words come first, so a short word's index is the same under the retry's cap
+    power, offset = _layout(n, max_len + 2)
     # red[i]: the index of word i's reduction
     red = [_index(canonical_form(Word(w, n)).word.letters, n, offset) for w in _universe(n, max_len)]
+    by_class = _canonical_by_class(root, kept, red)
+    retried = not all(by_class.values())
     if retried:
-        root = _closure(n, cap)
+        root = _closure(n, max_len + 2)
         for ell in (max_len + 1, max_len + 2):
             here, shorter = offset[ell], offset[ell - 1]
             for value, w in enumerate(product(range(1, n + 1), repeat=ell)):
                 d = step(w, masks)
                 if d is None:
-                    canonical.append(here + value)
                     red.append(here + value)
                 else:
                     r = power[ell - 1 - d]
                     red.append(red[shorter + value // (r * n) * r + value % r])
-        by_class = _canonical_by_class(root, kept, canonical)
+        by_class = _canonical_by_class(root, kept, red)
 
     target = {r: members[0] for r, members in by_class.items() if len(members) == 1}
     mismatched: dict[int, list[int]] = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import bounds, census, oracle
 from .reports import BoundReport
-from .words import Word, is_canonical, length_bound
+from .words import Word, _guard, is_canonical, length_bound
 
 __all__ = ["SUITES", "REDUCER_CHECKS", "run_suite", "run_all", "all_hold", "failing"]
 
@@ -62,6 +62,8 @@ def bounds_suite(max_n: int = 6) -> list[BoundReport]:
 
 def identities_suite(max_n: int = 6) -> list[BoundReport]:
     """Exact combinatorial identities and rational-form binomial estimates."""
+    # rank n's multiset row holds about n^2/4 bits, n^2/256 64-bit words; summed over n <= max_n
+    _guard(max_n * (max_n + 1) * (2 * max_n + 1) // 1536, f"multiset rows up to rank {max_n}")
     reports = []
     for n in range(1, max_n + 1):
         total = sum(bounds.maximal_multiset(n).values())

@@ -34,9 +34,9 @@ class ResourceGuardError(RuntimeError):
 BUDGET = 4_000_000
 
 
-def _guard(cost: int, what: str, allow_large: bool = False) -> None:
+def _guard(cost: int, what: str) -> None:
     """Refuse `what`, which lists or holds `cost` items, beyond BUDGET."""
-    if cost > BUDGET and not allow_large:
+    if cost > BUDGET:
         # a cost past 64 bits is stated by its magnitude: its decimal digits
         # could exceed the interpreter's limit on int-to-str conversion
         size = cost if cost.bit_length() <= 64 else f"about 2^{cost.bit_length() - 1}"

@@ -165,7 +165,7 @@ def test_criterion_10_determinism_and_stretch(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     outputs = []
     for _ in range(2):
-        code = cli.main(["count", "--rank", "6", "--force"])
+        code = cli.main(["count", "--rank", "6"])
         out = capsys.readouterr().out
         assert code == 0
         outputs.append(json.loads(out))

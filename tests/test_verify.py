@@ -31,6 +31,14 @@ def test_identities_suite_holds():
     assert sum(r.name.startswith("binomial-estimate") for r in reports) == 192
 
 
+def test_identities_suite_guards_its_multiset_rows(monkeypatch):
+    # the rows weigh about max_n^3 / 768 64-bit words, read against the budget at call time
+    monkeypatch.setattr("kiselman.words.BUDGET", 10)
+    assert all(r.holds for r in verify.identities_suite(max_n=6))
+    with pytest.raises(ResourceGuardError, match=r"multiset rows up to rank 60 refused.*kiselman\.words\.BUDGET"):
+        verify.identities_suite(max_n=60)
+
+
 def test_structure_suite_warns_without_failing():
     reports = verify.structure_suite(max_n=4)
     assert all(r.holds for r in reports)
