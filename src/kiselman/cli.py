@@ -61,13 +61,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     reports = verify.run_suite(args.suite, max_n=args.max_n)
-    if args.format == "csv":
-        sys.stdout.write(reports_to_csv(reports))
-    else:
-        sys.stdout.write(reports_to_json(reports))
-    for report in reports:
-        if report.note.startswith("WARN"):
-            print(f"WARN {report.name} (n_or_k={report.n_or_k}): {report.note}", file=sys.stderr)
+    emit = reports_to_csv if args.format == "csv" else reports_to_json
+    sys.stdout.write(emit(reports))
+    for report in verify.warned(reports):
+        print(f"WARN {report.name} (n_or_k={report.n_or_k}): {report.note}", file=sys.stderr)
     failures = verify.failing(reports)
     for report in failures:
         print(
@@ -82,46 +79,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
-def _table_rows(max_n: int) -> list[dict]:
+TABLE_HEADER = "n,count,length_bound,lower_bound,prefix_upper_bound,km_upper_bound,scaled_log"
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    # one row per rank, keyed in JSON order; big numbers are decimal strings
     rows = []
-    for n in range(max_n + 1):
+    for n in range(args.max_n + 1):
         total = census.count(n).total
         rows.append(
             {
                 "n": n,
-                "count": total,
                 "length_bound": length_bound(n),
-                "lower_bound": bounds.lower_bound(n),
-                "prefix_upper_bound": bounds.prefix_upper_bound(n) if n >= 1 else None,
-                "km_upper_bound": bounds.km_upper_bound(n) if n >= 1 else None,
+                "count": str(total),
+                "lower_bound": str(bounds.lower_bound(n)),
+                "prefix_upper_bound": str(bounds.prefix_upper_bound(n)) if n else None,
+                "km_upper_bound": str(bounds.km_upper_bound(n)) if n else None,
                 "scaled_log": bounds.scaled_log(n, total),
             }
         )
-    return rows
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    rows = _table_rows(args.max_n)
-    big = ("count", "lower_bound", "prefix_upper_bound", "km_upper_bound")
     if args.format == "json":
-        payload = [
-            {
-                "n": row["n"],
-                "length_bound": row["length_bound"],
-                **{k: None if row[k] is None else str(row[k]) for k in big},
-                "scaled_log": row["scaled_log"],
-            }
-            for row in rows
-        ]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = ["n,count,length_bound,lower_bound,prefix_upper_bound,km_upper_bound,scaled_log"]
-        for row in rows:
-            cells = [str(row["n"]), str(row["count"]), str(row["length_bound"])]
-            cells += ["" if row[k] is None else str(row[k]) for k in big[1:]]
-            cells.append(f"{row['scaled_log']:.6f}")
-            lines.append(",".join(cells))
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(json.dumps(rows, indent=2) + "\n")
+        return 0
+    print(TABLE_HEADER)
+    for row in rows:
+        cells = {**row, "scaled_log": f"{row['scaled_log']:.6f}"}
+        print(",".join("" if cells[c] is None else str(cells[c]) for c in TABLE_HEADER.split(",")))
     return 0
 
 
@@ -140,40 +123,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reduce", help="canonical form of a word")
+    rank = argparse.ArgumentParser(add_help=False)
+    rank.add_argument("--rank", type=int, required=True, help="alphabet size n")
+    max_n = argparse.ArgumentParser(add_help=False)
+    max_n.add_argument("--max-n", type=_nonnegative, default=6, help="largest rank to enumerate")
+
+    p = sub.add_parser("reduce", parents=[rank], help="canonical form of a word")
     p.add_argument("word", help="whitespace-separated letters, e.g. '2 1 2'")
-    p.add_argument("--rank", type=int, required=True, help="alphabet size n")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("check", help="test whether a word is canonical")
+    p = sub.add_parser("check", parents=[rank], help="test whether a word is canonical")
     p.add_argument("word")
-    p.add_argument("--rank", type=int, required=True)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("mul", help="product of two words, in canonical form")
+    p = sub.add_parser("mul", parents=[rank], help="product of two words, in canonical form")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--rank", type=int, required=True)
     p.set_defaults(func=cmd_mul)
 
-    p = sub.add_parser("count", help="census of canonical words for one rank")
-    p.add_argument("--rank", type=int, required=True)
+    p = sub.add_parser("count", parents=[rank], help="census of canonical words for one rank")
     p.add_argument("--longest", action="store_true", help="also count words of maximal length")
     p.add_argument("--allow-large", action="store_true", help="override the census table's size guard")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("verify", help="run certified check suites")
-    p.add_argument(
-        "--suite",
-        choices=verify.SUITES + ("all",),
-        default="all",
-    )
-    p.add_argument("--max-n", type=_nonnegative, default=6, help="largest rank to enumerate")
+    p = sub.add_parser("verify", parents=[max_n], help="run certified check suites")
+    p.add_argument("--suite", choices=verify.SUITES + ("all",), default="all")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("table", help="per-rank counts, bounds and scaled logs")
-    p.add_argument("--max-n", type=_nonnegative, default=6)
+    p = sub.add_parser("table", parents=[max_n], help="per-rank counts, bounds and scaled logs")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_table)
 

@@ -12,7 +12,7 @@ from . import bounds, census, oracle
 from .reports import BoundReport
 from .words import Word, _guard, is_canonical, length_bound
 
-__all__ = ["SUITES", "REDUCER_CHECKS", "run_suite", "run_all", "all_hold", "failing"]
+__all__ = ["SUITES", "REDUCER_CHECKS", "run_suite", "run_all", "all_hold", "failing", "warned"]
 
 SUITES = ("reducer", "bounds", "identities", "structure")
 
@@ -157,3 +157,8 @@ def all_hold(reports: list[BoundReport]) -> bool:
 
 def failing(reports: list[BoundReport]) -> list[BoundReport]:
     return [r for r in reports if not r.holds]
+
+
+def warned(reports: list[BoundReport]) -> list[BoundReport]:
+    """The reports with a "WARN:" note: known discrepancies that surface without failing a run."""
+    return [r for r in reports if r.note.startswith("WARN")]

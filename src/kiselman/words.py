@@ -60,9 +60,10 @@ def length_bound(n: int) -> int:
 class Word:
     """A finite word over the alphabet {1, ..., rank}.
 
-    Letters are 1-based; the empty word is the monoid identity.  The rank
-    travels with the word because the above/below letter counts depend on
-    the ambient alphabet, not only on the letters present.
+    Letters are 1-based ints; the empty word is the monoid identity.
+    Canonicity and reduction depend only on the letters' relative order
+    (`2 1 2` reduces to `1 2` at rank 2 and at rank 5); the rank bounds
+    the letters and sizes the transition table, `_letter_masks`.
     """
 
     letters: tuple[int, ...]
@@ -74,8 +75,8 @@ class Word:
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
         for x in self.letters:
-            if not 1 <= x <= self.rank:
-                raise ValueError(f"letter {x} outside alphabet 1..{self.rank}")
+            if type(x) is not int or not 1 <= x <= self.rank:
+                raise ValueError(f"letter {x!r} outside alphabet 1..{self.rank}")
 
     @classmethod
     def from_text(cls, text: str, rank: int) -> "Word":

@@ -174,6 +174,12 @@ def test_verify_structure_warns_but_passes(capsys):
     captured = capsys.readouterr()
     assert "WARN" in captured.err
     assert "longest-count-vs-printed-closed-form" in captured.out
+    # stderr carries one WARN line per report verify.warned picks, and no other
+    warned = verify.warned(verify.structure_suite(3))
+    assert [line for line in captured.err.splitlines() if line.startswith("WARN")] == [
+        f"WARN {r.name} (n_or_k={r.n_or_k}): {r.note}" for r in warned
+    ]
+    assert len(warned) == 1
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):

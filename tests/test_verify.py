@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kiselman import census, verify
+from kiselman.cli import main
 from kiselman.reports import BoundReport, reports_to_json
 from kiselman.words import ResourceGuardError
 
@@ -44,6 +45,8 @@ def test_structure_suite_warns_without_failing():
     assert all(r.holds for r in reports)
     warnings = [r for r in reports if r.note.startswith("WARN")]
     assert [w.n_or_k for w in warnings] == [3]
+    assert verify.warned(reports) == warnings
+    assert verify.warned(verify.bounds_suite(max_n=4)) == []
     counter = next(r for r in reports if r.name == "even-rank-counterexample-word")
     assert counter.holds
 
@@ -102,3 +105,17 @@ def test_exact_suites_output_is_pinned():
     # r.reports_to_json(v.bounds_suite(6) + v.identities_suite(6) + v.structure_suite(6)).encode()).hexdigest())"
     digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
     assert digest == "95f2325b2f8cfc7fc5f3a8a81dec0ab389cc6438095703bd5a54094877b81390"
+
+
+@pytest.mark.parametrize(
+    "fmt, pinned",
+    [
+        ("csv", "05914093bfbf250f95f8208938def406b5d75c2f115e7167d20730322f2d4c5a"),
+        ("json", "98479fa9684aa93309648559926196f3d67d58bf404ce8244757b3c3fe5850df"),
+    ],
+)
+def test_table_output_is_pinned(fmt, pinned, capsys):
+    # every byte of the table, key order and empty cells included; recompute from the repository root with
+    # PYTHONPATH=src python -m kiselman.cli table --max-n 6 --format csv | sha256sum   (and --format json)
+    assert main(["table", "--max-n", "6", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned

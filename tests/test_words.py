@@ -97,6 +97,10 @@ def test_word_validation():
         Word((), -1)
     with pytest.raises(ValueError):
         Word.from_text("1 x 2", 3)
+    # a bool, float or str is no letter, even one equal to a letter; the error names it
+    for letters, bad in (((True, 1), "True"), ((1.5,), "1.5"), ((2, 1.0), "1.0"), (("1",), "'1'")):
+        with pytest.raises(ValueError, match=f"letter {bad} "):
+            Word(letters, 3)
 
 
 def test_violation_simple_square():
