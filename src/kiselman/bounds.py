@@ -1,11 +1,10 @@
 """Exact evaluation of growth bounds and combinatorial identities.
 
-Every holds/fails decision is an integer or rational comparison; floats
-appear only in `scaled_log` and in the printed note constant
-ODD_EXPONENT_CONSTANT.  Where a bound involves pi in a denominator, pi is
-replaced by the larger rational 355/113, which makes the checked
-inequality strictly stronger than the original.  Logarithms are base 2
-throughout.
+Every holds/fails decision is an integer or rational comparison, and
+the printed scaled logarithms are computed with integers and rounded
+down.  Where a bound involves pi in a denominator, pi is replaced by the
+larger rational 355/113, which makes the checked inequality strictly
+stronger than the original.  Logarithms are base 2 throughout.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .words import length_bound
 
 __all__ = [
     "PI_UPPER",
-    "ODD_EXPONENT_CONSTANT",
     "km_upper_bound",
     "lower_bound",
     "maximal_multiset",
@@ -35,7 +33,6 @@ __all__ = [
 ]
 
 PI_UPPER = Fraction(355, 113)  # pi < 355/113, so bounds checked with it are stronger
-ODD_EXPONENT_CONSTANT = math.log2(432) / math.sqrt(2)  # ~6.1906
 
 IDENTITY_GUARD_K = 8
 LEMMA_GUARD_N = 256
@@ -166,9 +163,27 @@ def odd_exponent_check(n: int) -> BoundReport:
     )
 
 
-def scaled_log(n: int, count: int) -> float:
-    """Presentation value 2^(-n/2) * log2(2 * count), a float for printing only."""
-    return math.log2(2 * count) / 2 ** (n / 2)
+def scaled_log(n: int, count: int) -> str:
+    """2^(-n/2) * log2(2 * count) to six decimals, rounded down, on integers.
+
+    log2 is read bit by bit off 64 squarings of the mantissa, with 32 guard
+    bits and truncation at every step; odd n divides by sqrt(2) with isqrt.
+    The string is never above the true value, nor more than one unit below its floor.
+    """
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    log2 = (2 * count).bit_length() - 1  # the integer part; 64 fractional bits follow
+    mantissa = ((2 * count) << 96) >> log2  # in [1, 2), with 96 fractional bits
+    for _ in range(64):
+        mantissa = (mantissa * mantissa) >> 96
+        log2 <<= 1
+        if mantissa >> 97:  # the square reached 2: the next bit is 1
+            mantissa >>= 1
+            log2 += 1
+    if n % 2:
+        log2 = math.isqrt(log2 * log2 // 2)
+    micro = (10**6 * log2) >> (64 + n // 2)
+    return f"{micro // 10**6}.{micro % 10**6:06d}"
 
 
 def _parity_runs(counts: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -197,9 +212,9 @@ def limit_report(counts: list[tuple[int, int]]) -> list[BoundReport]:
     """The parity-limit estimates.
 
     Checks counts are monotone in rank (the subalphabet embeddings), and
-    certifies the latest even and odd scaled values against the limits 6
-    and log2(432)/sqrt(2).  The limit checks are exact:
-    2*count(2k) <= 2^(6*2^k) and 2*count(2k+1) <= 432^(2^k).
+    certifies the latest even and odd scaled values against their limits,
+    log2(64) = scaled_log(0, 32) and log2(432)/sqrt(2) = scaled_log(1, 216),
+    exactly: 2*count(2k) <= 64^(2^k) and 2*count(2k+1) <= 432^(2^k).
     """
     ordered = sorted(counts)
     reports = [
@@ -208,20 +223,11 @@ def limit_report(counts: list[tuple[int, int]]) -> list[BoundReport]:
         if m == n + 1
     ]
     evens, odds = _parity_runs(ordered)
-    if evens:
-        n, c = evens[-1]
-        estimate = scaled_log(n, c)
-        note = f"empirical lower estimate for the even limit: {estimate:.6f} <= 6"
-        cap = 2 ** (6 * 2 ** (n // 2))
-        reports.append(BoundReport.at_most("even-scaled-log-below-6", n, 2 * c, cap, note))
-    if odds:
-        n, c = odds[-1]
-        estimate = scaled_log(n, c)
-        note = (
-            f"empirical lower estimate for the odd limit: "
-            f"{estimate:.6f} <= {ODD_EXPONENT_CONSTANT:.6f}"
-        )
-        cap = 432 ** (2 ** (n // 2))
-        name = "odd-scaled-log-below-log2-432-over-sqrt2"
-        reports.append(BoundReport.at_most(name, n, 2 * c, cap, note))
+    limits = (("even-scaled-log-below-6", 64, evens), ("odd-scaled-log-below-log2-432-over-sqrt2", 432, odds))
+    for name, base, run in limits:
+        if run:
+            n, c = run[-1]
+            estimate, limit = scaled_log(n, c), scaled_log(n % 2, base // 2)
+            note = f"lower estimate for the {('even', 'odd')[n % 2]} limit: {estimate} <= {limit}, both rounded down"
+            reports.append(BoundReport.at_most(name, n, 2 * c, base ** (2 ** (n // 2)), note))
     return reports

@@ -103,8 +103,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         return 0
     print(TABLE_HEADER)
     for row in rows:
-        cells = {**row, "scaled_log": f"{row['scaled_log']:.6f}"}
-        print(",".join("" if cells[c] is None else str(cells[c]) for c in TABLE_HEADER.split(",")))
+        print(",".join("" if row[c] is None else str(row[c]) for c in TABLE_HEADER.split(",")))
     return 0
 
 

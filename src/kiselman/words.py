@@ -70,6 +70,9 @@ class Word:
     rank: int
 
     def __post_init__(self) -> None:
+        # a bool or float is no rank, even one equal to an int
+        if type(self.rank) is not int:
+            raise ValueError(f"rank {self.rank!r} is not an int")
         if self.rank < 0:
             raise ValueError(f"rank must be nonnegative, got {self.rank}")
         if not isinstance(self.letters, tuple):

@@ -7,8 +7,8 @@ Numbered to keep the checklist order stable under default collection.
 
 import itertools
 import json
-import math
 import time
+from fractions import Fraction
 from operator import itemgetter
 
 import pytest
@@ -156,9 +156,12 @@ def test_criterion_08_longest_word_structure(capsys):
 
 
 def test_criterion_09_constant(capsys):
-    value = math.log2(432) / math.sqrt(2)
-    ok = round(value, 4) == 6.1906 and bounds.ODD_EXPONENT_CONSTANT == value
-    _line(capsys, 9, ok, f"c = log2(432)/sqrt(2) = {value:.6f}, rounds to 6.1906")
+    # scaled_log is never above the true value and at most one unit below its
+    # floor, so c lies in [value, value + 2e-6), inside 6.1906's rounding interval
+    value = bounds.scaled_log(1, 216)
+    low = Fraction(value)
+    ok = value == "6.190640" and Fraction("6.19055") <= low and low + Fraction(2, 10**6) <= Fraction("6.19065")
+    _line(capsys, 9, ok, f"c = log2(432)/sqrt(2) in [{value}, {value} + 0.000002), rounds to 6.1906")
 
 
 def test_criterion_10_determinism_and_stretch(capsys, monkeypatch, tmp_path):

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from kiselman import bounds
+from kiselman import bounds, census
 from kiselman.bounds import (
-    ODD_EXPONENT_CONSTANT,
     PI_UPPER,
     binomial_lemma_check,
     even_upper_bound,
@@ -144,8 +143,8 @@ def test_even_upper_bound_check_guards_before_the_multinomial(monkeypatch):
 
 
 def test_odd_exponent():
-    assert ODD_EXPONENT_CONSTANT == math.log2(432) / math.sqrt(2)
-    assert round(ODD_EXPONENT_CONSTANT, 4) == 6.1906
+    # log2(432)/sqrt(2), the odd limit's bound, printed by the same routine
+    assert scaled_log(1, 216) == "6.190640"
     for n in range(1, 16, 2):
         report = odd_exponent_check(n)
         assert report.holds
@@ -172,18 +171,58 @@ def test_monotone_sequence_missing_pair():
 
 
 def test_scaled_log_values():
-    assert scaled_log(1, 2) == pytest.approx(math.sqrt(2))
-    assert scaled_log(2, 5) == pytest.approx(1.660964, abs=1e-6)
-    assert scaled_log(0, 1) == 1.0
+    assert scaled_log(0, 1) == "1.000000"
+    assert scaled_log(0, 32) == "6.000000"
+    assert scaled_log(1, 2) == "1.414213"  # sqrt(2) = 1.4142135...
+    assert scaled_log(2, 5) == "1.660964"
+    with pytest.raises(ValueError, match="count must be positive, got 0"):
+        scaled_log(3, 0)
+
+
+def _at_most_scaled_log(n: int, c: int, p: int, q: int) -> bool:
+    """Exactly: p/q <= 2^(-n/2) * log2(2c), or for odd n a stronger claim.
+
+    Even n = 2k: 2^(p*2^k) <= (2c)^q.  Odd n = 2k+1: sqrt(2) * p * 2^k is
+    below isqrt(2 * (p*2^k)^2) + 1, so 2^(that) <= (2c)^q suffices.
+    """
+    e = p * 2 ** (n // 2)
+    if n % 2:
+        e = math.isqrt(2 * e * e) + 1
+    return (1 << e) <= (2 * c) ** q
+
+
+def _above_scaled_log(n: int, c: int, p: int, q: int) -> bool:
+    """Exactly: p/q > 2^(-n/2) * log2(2c), or for odd n a stronger claim.
+
+    Odd n: isqrt(2 * (p*2^k)^2) is below sqrt(2) * p * 2^k, so
+    2^(that) > (2c)^q suffices.
+    """
+    e = p * 2 ** (n // 2)
+    if n % 2:
+        e = math.isqrt(2 * e * e)
+    return (1 << e) > (2 * c) ** q
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_scaled_log_passes_exact_power_tests(n):
+    # the 3- and 4-decimal truncations are lower bounds, and one unit more is not
+    c = census.count(n).total
+    whole, decimals = scaled_log(n, c).split(".")
+    for digits in (3, 4):
+        p, q = int(whole + decimals[:digits]), 10**digits
+        assert _at_most_scaled_log(n, c, p, q)
+        assert _above_scaled_log(n, c, p + 1, q)
 
 
 def test_limit_report():
     reports = limit_report(COUNTS)
     assert all(r.holds for r in reports)
-    evens = [scaled_log(n, c) for n, c in COUNTS if n % 2 == 0]
-    odds = [scaled_log(n, c) for n, c in COUNTS if n % 2 == 1]
+    evens = [Fraction(scaled_log(n, c)) for n, c in COUNTS if n % 2 == 0]
+    odds = [Fraction(scaled_log(n, c)) for n, c in COUNTS if n % 2 == 1]
     assert evens == sorted(evens)
     assert odds == sorted(odds)
-    names = {r.name for r in reports}
-    assert "even-scaled-log-below-6" in names
-    assert "odd-scaled-log-below-log2-432-over-sqrt2" in names
+    notes = {r.name: r.note for r in reports}
+    assert notes["even-scaled-log-below-6"] == "lower estimate for the even limit: 2.169704 <= 6.000000, both rounded down"
+    assert notes["odd-scaled-log-below-log2-432-over-sqrt2"] == (
+        "lower estimate for the odd limit: 2.075319 <= 6.190640, both rounded down"
+    )

@@ -212,6 +212,7 @@ def test_table_csv(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,count,length_bound,lower_bound,prefix_upper_bound,km_upper_bound,scaled_log"
     assert lines[1] == "0,1,0,1,,,1.000000"
+    assert lines[2] == "1,2,1,2,2,2,1.414213"
     assert lines[3].startswith("2,5,2,2,6,5,")
     assert lines[5].startswith("4,115,6,8,1260,4097,")
 
@@ -221,7 +222,8 @@ def test_table_json(capsys):
     rows = json.loads(capsys.readouterr().out)
     assert rows[2]["count"] == "5"
     assert rows[0]["km_upper_bound"] is None
-    assert rows[1]["scaled_log"] == pytest.approx(2**0.5)
+    # the same rounded-down decimal string as the CSV cell
+    assert rows[1]["scaled_log"] == "1.414213"
 
 
 def _package_env():

@@ -104,18 +104,20 @@ def test_exact_suites_output_is_pinned():
     # PYTHONPATH=src python -c "import hashlib, kiselman.verify as v, kiselman.reports as r; print(hashlib.sha256(
     # r.reports_to_json(v.bounds_suite(6) + v.identities_suite(6) + v.structure_suite(6)).encode()).hexdigest())"
     digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
-    assert digest == "95f2325b2f8cfc7fc5f3a8a81dec0ab389cc6438095703bd5a54094877b81390"
+    assert digest == "00c3a81dac19f76b93b99204c9af2c640f39f3a9989dc7c01587cb8680750e09"
 
 
 @pytest.mark.parametrize(
-    "fmt, pinned",
+    "fmt, max_n, pinned",
     [
-        ("csv", "05914093bfbf250f95f8208938def406b5d75c2f115e7167d20730322f2d4c5a"),
-        ("json", "98479fa9684aa93309648559926196f3d67d58bf404ce8244757b3c3fe5850df"),
+        pytest.param("csv", "6", "0e39fca70ca0a47dcb9a87373088b984b2526c582b28b5836b1053fae0eb334f", id="csv-6"),
+        pytest.param("json", "6", "4046bcdadc6afa8c8813152bbaf40323e93cc647724bb8d273d057eb914bd47a", id="json-6"),
+        pytest.param("csv", "12", "ad8bac3a4cefc35b8530a62679200b93a34b311e49cc00be771a4772448252f9", id="csv-12"),
+        pytest.param("json", "12", "d787c44579cb884eeba69947ad43ca9f87fb6600ec17ee231035a04ef9c3d01b", id="json-12"),
     ],
 )
-def test_table_output_is_pinned(fmt, pinned, capsys):
+def test_table_output_is_pinned(fmt, max_n, pinned, capsys):
     # every byte of the table, key order and empty cells included; recompute from the repository root with
-    # PYTHONPATH=src python -m kiselman.cli table --max-n 6 --format csv | sha256sum   (and --format json)
-    assert main(["table", "--max-n", "6", "--format", fmt]) == 0
+    # PYTHONPATH=src python -m kiselman.cli table --max-n 6 --format csv | sha256sum   (and 12, and --format json)
+    assert main(["table", "--max-n", max_n, "--format", fmt]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned

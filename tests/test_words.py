@@ -101,6 +101,10 @@ def test_word_validation():
     for letters, bad in (((True, 1), "True"), ((1.5,), "1.5"), ((2, 1.0), "1.0"), (("1",), "'1'")):
         with pytest.raises(ValueError, match=f"letter {bad} "):
             Word(letters, 3)
+    # nor is it a rank; the error names it
+    for rank, bad in ((1.5, "1.5"), (True, "True"), (3.0, "3.0"), ("3", "'3'")):
+        with pytest.raises(ValueError, match=f"rank {bad} is not an int"):
+            Word((1,), rank)
 
 
 def test_violation_simple_square():
