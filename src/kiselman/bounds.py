@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .reports import BoundReport
-from .words import length_bound
+from .words import _guard, length_bound
 
 __all__ = [
     "PI_UPPER",
@@ -34,15 +34,21 @@ __all__ = [
 
 PI_UPPER = Fraction(355, 113)  # pi < 355/113, so bounds checked with it are stronger
 
-IDENTITY_GUARD_K = 8
-LEMMA_GUARD_N = 256
-EVEN_BOUND_GUARD_K = 6
+
+def _weigh(bits: int, what: str) -> None:
+    """Refuse `what`, an integer of at most `bits` bits, before it is built.
+
+    Schoolbook products build it in about ceil(bits/64)^2 products of
+    64-bit words, and that cost is read against kiselman.words.BUDGET.
+    """
+    _guard(((bits + 63) // 64) ** 2, what)
 
 
 def km_upper_bound(n: int) -> int:
     """The crude upper bound 1 + n^L(n) on the number of canonical words."""
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
+    _weigh(length_bound(n) * n.bit_length(), f"rank {n} crude upper bound")
     return 1 + n ** length_bound(n)
 
 
@@ -50,6 +56,7 @@ def lower_bound(n: int) -> int:
     """The double-exponential lower bound 2^(2^ceil(n/2) - 1)."""
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
+    _weigh(1 << (n + 1) // 2, f"rank {n} lower bound")
     return 2 ** (2 ** ((n + 1) // 2) - 1)
 
 
@@ -75,9 +82,11 @@ def prefix_upper_bound(n: int) -> int:
     Every canonical word is a prefix of some word of length L(n) realizing
     the maximal multiset, and a word of length l has l+1 prefixes; this is
     the sharpest integer bound in the double-exponential upper estimates,
-    valid for both parities.
+    valid for both parities.  The multinomial is at most n^L(n), and is
+    weighed as that.
     """
     ell = length_bound(n)
+    _weigh(ell * n.bit_length(), f"rank {n} prefix bound")
     return (ell + 1) * multinomial(list(maximal_multiset(n).values()))
 
 
@@ -86,8 +95,7 @@ def multinomial_identity_check(k: int) -> BoundReport:
     the product over h = 1..k of C(2*2^h - 2, 2^(h-1)) * C(3*2^(h-1) - 2, 2^(h-1))."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > IDENTITY_GUARD_K:
-        raise ValueError(f"k = {k} exceeds guard {IDENTITY_GUARD_K} (kiselman.bounds.IDENTITY_GUARD_K)")
+    _weigh(length_bound(2 * k) * (2 * k).bit_length(), f"rank {2 * k} multinomial identity")
     lhs = multinomial(list(maximal_multiset(2 * k).values()))
     rhs = 1
     for h in range(1, k + 1):
@@ -109,8 +117,7 @@ def binomial_lemma_check(N: int, part: int) -> BoundReport:
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    if N > LEMMA_GUARD_N:
-        raise ValueError(f"N = {N} exceeds guard {LEMMA_GUARD_N} (kiselman.bounds.LEMMA_GUARD_N)")
+    _weigh(12 * N, f"binomial estimates at N = {N}")  # 2^(12N), part 2's side, is the largest
     lhs: Fraction | int
     rhs: Fraction | int
     if part == 1:
@@ -128,22 +135,24 @@ def binomial_lemma_check(N: int, part: int) -> BoundReport:
     return BoundReport.at_most(f"binomial-estimate-part-{part}", N, lhs, rhs, note)
 
 
+def _parity_cap(n: int) -> int:
+    """The parity limits' cap: 64^(2^k) for n = 2k, 432^(2^k) for n = 2k+1."""
+    base = 432 if n % 2 else 64
+    _weigh(base.bit_length() << n // 2, f"rank {n} parity cap")
+    return base ** 2 ** (n // 2)
+
+
 def even_upper_bound(k: int) -> int:
-    """The even-rank upper bound 2^(6 * 2^k) on the count for rank 2k."""
+    """The even-rank upper bound 2^(6 * 2^k) = 64^(2^k) on the count for rank 2k."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > EVEN_BOUND_GUARD_K:
-        raise ValueError(f"k = {k} exceeds guard {EVEN_BOUND_GUARD_K} (kiselman.bounds.EVEN_BOUND_GUARD_K)")
-    return 2 ** (6 * 2**k)
+    return _parity_cap(2 * k)
 
 
 def even_upper_bound_check(k: int) -> BoundReport:
     """Companion check: the prefix bound for rank 2k stays below 2^(6*2^k)."""
-    # the guarded bound first: the multinomial's cost has no guard of its own
-    rhs = even_upper_bound(k)
-    return BoundReport.at_most(
-        "prefix-bound-below-even-upper-bound", k, prefix_upper_bound(2 * k), rhs, f"rank {2 * k}"
-    )
+    name = "prefix-bound-below-even-upper-bound"
+    return BoundReport.at_most(name, k, prefix_upper_bound(2 * k), even_upper_bound(k), f"rank {2 * k}")
 
 
 def odd_exponent_check(n: int) -> BoundReport:
@@ -158,7 +167,7 @@ def odd_exponent_check(n: int) -> BoundReport:
         "log2-prefix-bound-below-odd-exponent",
         n,
         prefix_upper_bound(n),
-        432 ** (2 ** ((n - 1) // 2)),
+        _parity_cap(n),
         "exact form: prefix bound <= 432^(2^((n-1)/2))",
     )
 
@@ -222,12 +231,12 @@ def limit_report(counts: list[tuple[int, int]]) -> list[BoundReport]:
         for (n, kn), (m, km) in zip(ordered, ordered[1:])
         if m == n + 1
     ]
-    evens, odds = _parity_runs(ordered)
-    limits = (("even-scaled-log-below-6", 64, evens), ("odd-scaled-log-below-log2-432-over-sqrt2", 432, odds))
-    for name, base, run in limits:
+    names = ("even-scaled-log-below-6", "odd-scaled-log-below-log2-432-over-sqrt2")
+    for name, run in zip(names, _parity_runs(ordered)):
         if run:
             n, c = run[-1]
-            estimate, limit = scaled_log(n, c), scaled_log(n % 2, base // 2)
+            cap = _parity_cap(n)  # refused, if at all, before the notes are worked out
+            estimate, limit = scaled_log(n, c), scaled_log(n % 2, _parity_cap(n % 2) // 2)
             note = f"lower estimate for the {('even', 'odd')[n % 2]} limit: {estimate} <= {limit}, both rounded down"
-            reports.append(BoundReport.at_most(name, n, 2 * c, base ** (2 ** (n // 2)), note))
+            reports.append(BoundReport.at_most(name, n, 2 * c, cap, note))
     return reports

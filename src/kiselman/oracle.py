@@ -174,15 +174,6 @@ class OracleCertification:
     reduced_directly: int = 0
     reduced_by_memo: int = 0
 
-    def to_json(self) -> str:
-        payload = {
-            "rank": self.rank,
-            "max_len": self.max_len,
-            "classes": self.classes,
-            "violations": list(self.violations),
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
 
 def _canonical_by_class(root: list[int], kept: int, red: list[int]) -> dict[int, list[int]]:
     # the classes reaching the first `kept` words, in order (a root is the

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from kiselman import bounds, census
+from kiselman import bounds, census, words
 from kiselman.bounds import (
     PI_UPPER,
     binomial_lemma_check,
@@ -20,6 +22,7 @@ from kiselman.bounds import (
     prefix_upper_bound,
     scaled_log,
 )
+from kiselman.words import ResourceGuardError
 
 COUNTS = [(0, 1), (1, 2), (2, 5), (3, 18), (4, 115), (5, 1710), (6, 83973)]
 
@@ -74,13 +77,6 @@ def test_multinomial_identity():
     assert multinomial_identity_check(2).lhs == 180
 
 
-def test_multinomial_identity_guard(monkeypatch):
-    with pytest.raises(ValueError):
-        multinomial_identity_check(9)
-    monkeypatch.setattr(bounds, "IDENTITY_GUARD_K", 9)
-    assert multinomial_identity_check(9).holds
-
-
 def test_binomial_lemma_all_parts():
     for N in range(1, 65):
         for part in (1, 2, 3):
@@ -96,28 +92,53 @@ def test_binomial_lemma_exact_rational():
     assert report.lhs == 15 * 16 and report.rhs == 27**2
 
 
-def test_binomial_lemma_guard_and_validation(monkeypatch):
+def test_binomial_lemma_validation():
     with pytest.raises(ValueError):
-        binomial_lemma_check(257, 1)
+        binomial_lemma_check(0, 1)
     with pytest.raises(ValueError):
         binomial_lemma_check(3, 4)
-    monkeypatch.setattr(bounds, "LEMMA_GUARD_N", 257)
-    assert binomial_lemma_check(257, 1).holds
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: multinomial_identity_check(9), "k = 9 exceeds guard 8 (kiselman.bounds.IDENTITY_GUARD_K)"),
-        (lambda: binomial_lemma_check(257, 1), "N = 257 exceeds guard 256 (kiselman.bounds.LEMMA_GUARD_N)"),
-        (lambda: even_upper_bound(7), "k = 7 exceeds guard 6 (kiselman.bounds.EVEN_BOUND_GUARD_K)"),
-    ],
-)
-def test_guard_names_its_constant(call, message):
-    # the constant is the one override, so the refusal names it and nothing else
-    with pytest.raises(ValueError) as exc:
-        call()
-    assert str(exc.value) == message
+# (entry point, its last admitted arguments, its refused ones) under the default budget: the
+# first refused size, then any size that ran for seconds before the module weighed its integers
+BUDGETED = [
+    (lower_bound, (32,), [(33,), (70,)]),
+    (km_upper_bound, (27,), [(28,), (40,)]),
+    (prefix_upper_bound, (27,), [(28,), (40,)]),
+    (multinomial_identity_check, (13,), [(14,)]),
+    (binomial_lemma_check, (10666, 2), [(10667, 2)]),
+    (even_upper_bound, (14,), [(15,)]),
+    (even_upper_bound_check, (13,), [(14,)]),
+    (odd_exponent_check, (27,), [(29,), (45,)]),
+    (limit_report, ([(28, 1)],), [([(30, 1)],)]),
+    (limit_report, ([(27, 1)],), [([(29, 1)],), ([(45, 1)],)]),
+]
+
+
+@pytest.mark.parametrize("call, admitted, refused", BUDGETED, ids=[f"{c.__name__}-{r[0][0]}" for c, _, r in BUDGETED])
+def test_bounds_weigh_their_integers_against_the_budget(monkeypatch, call, admitted, refused):
+    # every integer the module builds is weighed as (its bits / 64)^2 word products, before it
+    # is built: the builders below fail if called, and a refusal allocates under 8 KiB, half the
+    # smallest integer (2^17 bits, lower_bound(33)) a first refused size would build
+    def fail(*_):
+        raise AssertionError(f"{call.__name__} built a number before its guard")
+
+    with monkeypatch.context() as m:
+        for builder in ("multinomial", "maximal_multiset", "scaled_log"):
+            m.setattr(bounds, builder, fail)
+        m.setattr(bounds, "math", SimpleNamespace(comb=fail, isqrt=fail))
+        for args in refused:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceGuardError, match=r"refused: .* \(kiselman\.words\.BUDGET\)$"):
+                    call(*args)
+                assert tracemalloc.get_traced_memory()[1] < 8192, args
+            finally:
+                tracemalloc.stop()
+    assert call(*admitted) is not None
+    # the budget, read at call time, is the one override
+    monkeypatch.setattr(words, "BUDGET", 4 * words.BUDGET)
+    assert call(*refused[0]) is not None
 
 
 def test_pi_upper_is_upper():
@@ -128,18 +149,9 @@ def test_even_upper_bound():
     assert even_upper_bound(1) == 2**12
     assert even_upper_bound(3) == 2**48
     with pytest.raises(ValueError):
-        even_upper_bound(7)
+        even_upper_bound(0)
     for k in (1, 2, 3):
         assert even_upper_bound_check(k).holds
-
-
-def test_even_upper_bound_check_guards_before_the_multinomial(monkeypatch):
-    def unguarded(n):
-        raise AssertionError(f"prefix_upper_bound({n}) ran before the guard")
-
-    monkeypatch.setattr(bounds, "prefix_upper_bound", unguarded)
-    with pytest.raises(ValueError, match="exceeds guard"):
-        even_upper_bound_check(7)
 
 
 def test_odd_exponent():

@@ -183,14 +183,6 @@ def test_report_form():
     assert report.name == "congruence-classes-equal-canonical-words"
 
 
-def test_certification_json_fields():
-    cert = certify_reducer(2, 5)
-    payload = json.loads(cert.to_json())
-    assert list(payload) == ["rank", "max_len", "classes", "violations"]
-    assert payload["classes"] == 5
-    assert payload["violations"] == []
-
-
 def test_universe_guard(monkeypatch):
     with pytest.raises(ResourceGuardError):
         congruence_closure(4, 12)

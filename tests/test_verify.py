@@ -32,12 +32,20 @@ def test_identities_suite_holds():
     assert sum(r.name.startswith("binomial-estimate") for r in reports) == 192
 
 
+@pytest.mark.parametrize("suite", [verify.bounds_suite, verify.identities_suite], ids=["bounds", "identities"])
+def test_bound_guards_admit_every_rank_the_census_admits(suite):
+    # rank 12 is the census's last; its bounds, caps and identities all fit the budget
+    reports = suite(max_n=12)
+    assert reports and all(r.holds for r in reports)
+
+
 def test_identities_suite_guards_its_multiset_rows(monkeypatch):
-    # the rows weigh about max_n^3 / 768 64-bit words, read against the budget at call time
-    monkeypatch.setattr("kiselman.words.BUDGET", 10)
+    # the rows weigh about max_n^3 / 768 64-bit words, read against the budget at call time;
+    # the heaviest fixed check, rank 16's multinomial identity, weighs (2550 bits / 64)^2 = 1600
+    monkeypatch.setattr("kiselman.words.BUDGET", 1600)
     assert all(r.holds for r in verify.identities_suite(max_n=6))
-    with pytest.raises(ResourceGuardError, match=r"multiset rows up to rank 60 refused.*kiselman\.words\.BUDGET"):
-        verify.identities_suite(max_n=60)
+    with pytest.raises(ResourceGuardError, match=r"multiset rows up to rank 107 refused.*kiselman\.words\.BUDGET"):
+        verify.identities_suite(max_n=107)
 
 
 def test_structure_suite_warns_without_failing():
