@@ -35,20 +35,22 @@ __all__ = [
 PI_UPPER = Fraction(355, 113)  # pi < 355/113, so bounds checked with it are stronger
 
 
-def _weigh(bits: int, what: str) -> None:
-    """Refuse `what`, an integer of at most `bits` bits, before it is built.
+def _weigh(bits: int, shift: int, what: str) -> None:
+    """Refuse `what`, an integer of at most bits << shift bits, before it is built.
 
-    Schoolbook products build it in about ceil(bits/64)^2 products of
-    64-bit words, and that cost is read against kiselman.words.BUDGET.
+    Schoolbook products build it in about ceil((bits << shift)/64)^2 products of 64-bit
+    words, a cost read against kiselman.words.BUDGET as a factor and an exponent.
     """
-    _guard(((bits + 63) // 64) ** 2, what)
+    if shift < 6:  # from 6 on, ceil((bits << shift)/64) is bits << (shift - 6)
+        bits, shift = ((bits << shift) + 63) >> 6, 6
+    _guard(bits * bits, what, 2 * (shift - 6))
 
 
 def km_upper_bound(n: int) -> int:
     """The crude upper bound 1 + n^L(n) on the number of canonical words."""
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
-    _weigh(length_bound(n) * n.bit_length(), f"rank {n} crude upper bound")
+    _weigh((3 if n % 2 else 2) * n.bit_length(), n // 2, f"rank {n} crude upper bound")
     return 1 + n ** length_bound(n)
 
 
@@ -56,7 +58,7 @@ def lower_bound(n: int) -> int:
     """The double-exponential lower bound 2^(2^ceil(n/2) - 1)."""
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
-    _weigh(1 << (n + 1) // 2, f"rank {n} lower bound")
+    _weigh(1, (n + 1) // 2, f"rank {n} lower bound")
     return 2 ** (2 ** ((n + 1) // 2) - 1)
 
 
@@ -64,6 +66,7 @@ def maximal_multiset(n: int) -> dict[int, int]:
     """Occurrence counts letter -> min(2^(i-1), 2^(n-i)); they sum to L(n)."""
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
+    _guard(n * n // 256, f"rank {n} maximal multiset")  # about n^2/4 bits, n^2/256 64-bit words
     return {i: min(2 ** (i - 1), 2 ** (n - i)) for i in range(1, n + 1)}
 
 
@@ -83,11 +86,12 @@ def prefix_upper_bound(n: int) -> int:
     the maximal multiset, and a word of length l has l+1 prefixes; this is
     the sharpest integer bound in the double-exponential upper estimates,
     valid for both parities.  The multinomial is at most n^L(n), and is
-    weighed as that.
+    weighed as that, with L(n) below 2 << n // 2 for even n, 3 << n // 2 for odd.
     """
-    ell = length_bound(n)
-    _weigh(ell * n.bit_length(), f"rank {n} prefix bound")
-    return (ell + 1) * multinomial(list(maximal_multiset(n).values()))
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
+    _weigh((3 if n % 2 else 2) * n.bit_length(), n // 2, f"rank {n} prefix bound")
+    return (length_bound(n) + 1) * multinomial(list(maximal_multiset(n).values()))
 
 
 def multinomial_identity_check(k: int) -> BoundReport:
@@ -95,7 +99,7 @@ def multinomial_identity_check(k: int) -> BoundReport:
     the product over h = 1..k of C(2*2^h - 2, 2^(h-1)) * C(3*2^(h-1) - 2, 2^(h-1))."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    _weigh(length_bound(2 * k) * (2 * k).bit_length(), f"rank {2 * k} multinomial identity")
+    _weigh(2 * (2 * k).bit_length(), k, f"rank {2 * k} multinomial identity")  # L(2k) < 2 << k
     lhs = multinomial(list(maximal_multiset(2 * k).values()))
     rhs = 1
     for h in range(1, k + 1):
@@ -117,7 +121,7 @@ def binomial_lemma_check(N: int, part: int) -> BoundReport:
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    _weigh(12 * N, f"binomial estimates at N = {N}")  # 2^(12N), part 2's side, is the largest
+    _weigh(12 * N, 0, f"binomial estimates at N = {N}")  # 2^(12N), part 2's side, is the largest
     lhs: Fraction | int
     rhs: Fraction | int
     if part == 1:
@@ -138,7 +142,7 @@ def binomial_lemma_check(N: int, part: int) -> BoundReport:
 def _parity_cap(n: int) -> int:
     """The parity limits' cap: 64^(2^k) for n = 2k, 432^(2^k) for n = 2k+1."""
     base = 432 if n % 2 else 64
-    _weigh(base.bit_length() << n // 2, f"rank {n} parity cap")
+    _weigh(base.bit_length(), n // 2, f"rank {n} parity cap")
     return base ** 2 ** (n // 2)
 
 

@@ -48,17 +48,16 @@ class Census:
     total: int
     by_length: dict[int, int]
     max_length: int
-    longest_count: int | None = None
 
     def to_json(self) -> str:
-        payload: dict = {
+        # the words of maximal length, f(n), are the top coefficient of the census
+        payload = {
             "rank": self.rank,
             "total": str(self.total),
             "by_length": {str(l): str(c) for l, c in sorted(self.by_length.items())},
             "max_length": self.max_length,
+            "longest_count": str(self.by_length[self.max_length]),
         }
-        if self.longest_count is not None:
-            payload["longest_count"] = str(self.longest_count)
         return json.dumps(payload, indent=2) + "\n"
 
 
@@ -76,7 +75,7 @@ class LongestCensus:
         return self.max_length == length_bound(self.rank)
 
 
-def _extension_table(n: int, allow_large: bool = False) -> tuple[dict[tuple[int, int], int], int]:
+def _extension_table(n: int) -> tuple[dict[tuple[int, int], int], int]:
     """Extension counts by length for every state reachable from the empty word.
 
     Returns the table and its slot width.  A state's value packs one slot per
@@ -86,9 +85,8 @@ def _extension_table(n: int, allow_large: bool = False) -> tuple[dict[tuple[int,
     longest extension.  The guard weighs the counts the table can hold, n *
     2^(n-1) + 1 states times L(n) + 1 lengths; a negative rank is a ValueError.
     """
-    masks = _letter_masks(n)  # first: its guard, which nothing lifts, refuses ranks whose L(n) won't fit
-    if not allow_large:
-        _guard((length_bound(n) + 1) * (n * 2**n // 2 + 1), f"rank {n} census table")
+    masks = _letter_masks(n)  # first: its guard, which BUDGET lifts, refuses ranks whose L(n) won't fit
+    _guard((length_bound(n) + 1) * (n * 2**n // 2 + 1), f"rank {n} census table")
     # a count is at most |K_n|, under the paper's prefix bound, so no slot carries:
     # the width leans on that bound as L(n) does; tests check it on allowed ranks
     slot = prefix_upper_bound(n).bit_length() + 1 if n else 2
@@ -131,14 +129,14 @@ def iter_canonical(n: int) -> Iterator[tuple[int, ...]]:
                 stack.append((word + (x,), (ns & keep_ns) | bit, (ng & keep_ng) | bit))
 
 
-def count(n: int, *, allow_large: bool = False) -> Census:
+def count(n: int) -> Census:
     """Exact census of canonical words over rank n.
 
     Reads the empty word's extension counts from the state table, so the
     cost follows the n * 2^(n-1) + 1 reachable states times the length
     bound rather than the number of words.
     """
-    table, slot = _extension_table(n, allow_large)
+    table, slot = _extension_table(n)
     packed, mask = table[0, 0], (1 << slot) - 1
     by_len = [(packed >> (l * slot)) & mask for l in range((packed.bit_length() - 1) // slot + 1)]
     return Census(

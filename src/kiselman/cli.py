@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import __version__, bounds, census, verify
 from .reduce import canonical_form
@@ -47,15 +46,7 @@ def cmd_mul(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    try:
-        result = census.count(args.rank, allow_large=args.allow_large)
-    except ResourceGuardError as exc:
-        hint = "; pass --allow-large to override" if "census table" in str(exc) else ""
-        raise ResourceGuardError(f"{exc}{hint}") from None
-    if args.longest:
-        # the number of maximal words is the top coefficient of the census
-        result = replace(result, longest_count=result.by_length[result.max_length])
-    sys.stdout.write(result.to_json())
+    sys.stdout.write(census.count(args.rank).to_json())
     return 0
 
 
@@ -141,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mul)
 
     p = sub.add_parser("count", parents=[rank], help="census of canonical words for one rank")
-    p.add_argument("--longest", action="store_true", help="also count words of maximal length")
-    p.add_argument("--allow-large", action="store_true", help="override the census table's size guard")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", parents=[max_n], help="run certified check suites")

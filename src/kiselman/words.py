@@ -34,12 +34,14 @@ class ResourceGuardError(RuntimeError):
 BUDGET = 4_000_000
 
 
-def _guard(cost: int, what: str) -> None:
-    """Refuse `what`, which lists or holds `cost` items, beyond BUDGET."""
-    if cost > BUDGET:
+def _guard(cost: int, what: str, shift: int = 0) -> None:
+    """Refuse `what`, which lists or holds `cost << shift` items, beyond BUDGET."""
+    # a cost whose bit length alone passes BUDGET's is refused before it is built
+    bits = cost.bit_length() + shift if cost else 0
+    if bits > BUDGET.bit_length() or cost << shift > BUDGET:
         # a cost past 64 bits is stated by its magnitude: its decimal digits
         # could exceed the interpreter's limit on int-to-str conversion
-        size = cost if cost.bit_length() <= 64 else f"about 2^{cost.bit_length() - 1}"
+        size = cost << shift if bits <= 64 else f"about 2^{bits - 1}"
         raise ResourceGuardError(
             f"{what} refused: {size} items exceed the budget of {BUDGET} (kiselman.words.BUDGET)"
         )

@@ -22,7 +22,7 @@ from kiselman.bounds import (
     prefix_upper_bound,
     scaled_log,
 )
-from kiselman.words import ResourceGuardError
+from kiselman.words import ResourceGuardError, length_bound
 
 COUNTS = [(0, 1), (1, 2), (2, 5), (3, 18), (4, 115), (5, 1710), (6, 83973)]
 
@@ -100,18 +100,19 @@ def test_binomial_lemma_validation():
 
 
 # (entry point, its last admitted arguments, its refused ones) under the default budget: the
-# first refused size, then any size that ran for seconds before the module weighed its integers
+# first refused size, then any size that ran for seconds before the module weighed its integers,
+# then a size near 10^6, whose closed-form bit count alone would take over 8 KiB to build
 BUDGETED = [
-    (lower_bound, (32,), [(33,), (70,)]),
-    (km_upper_bound, (27,), [(28,), (40,)]),
-    (prefix_upper_bound, (27,), [(28,), (40,)]),
-    (multinomial_identity_check, (13,), [(14,)]),
-    (binomial_lemma_check, (10666, 2), [(10667, 2)]),
-    (even_upper_bound, (14,), [(15,)]),
-    (even_upper_bound_check, (13,), [(14,)]),
-    (odd_exponent_check, (27,), [(29,), (45,)]),
-    (limit_report, ([(28, 1)],), [([(30, 1)],)]),
-    (limit_report, ([(27, 1)],), [([(29, 1)],), ([(45, 1)],)]),
+    (lower_bound, (32,), [(33,), (70,), (10**6,)]),
+    (km_upper_bound, (27,), [(28,), (40,), (10**6,)]),
+    (prefix_upper_bound, (27,), [(28,), (40,), (10**6,)]),
+    (multinomial_identity_check, (13,), [(14,), (10**6,)]),
+    (binomial_lemma_check, (10666, 2), [(10667, 2), (10**6, 2)]),
+    (even_upper_bound, (14,), [(15,), (10**6,)]),
+    (even_upper_bound_check, (13,), [(14,), (10**6,)]),
+    (odd_exponent_check, (27,), [(29,), (45,), (10**6 + 1,)]),
+    (limit_report, ([(28, 1)],), [([(30, 1)],), ([(10**6, 1)],)]),
+    (limit_report, ([(27, 1)],), [([(29, 1)],), ([(45, 1)],), ([(10**6 + 1, 1)],)]),
 ]
 
 
@@ -139,6 +140,24 @@ def test_bounds_weigh_their_integers_against_the_budget(monkeypatch, call, admit
     # the budget, read at call time, is the one override
     monkeypatch.setattr(words, "BUDGET", 4 * words.BUDGET)
     assert call(*refused[0]) is not None
+
+
+def test_maximal_multiset_weighs_its_row(monkeypatch):
+    # the rows up to rank 12 are the powers of two rising from both ends
+    for n in range(1, 13):
+        assert list(maximal_multiset(n).values()) == [1 << min(i, n - 1 - i) for i in range(n)]
+    # rank n's row holds about n^2/4 bits, n^2/256 64-bit words, weighed before it is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match=r"^rank 1000000 maximal multiset refused: .* \(kiselman\.words\.BUDGET\)$"):
+            maximal_multiset(10**6)
+        assert tracemalloc.get_traced_memory()[1] < 8192
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(words, "BUDGET", 4)
+    assert sum(maximal_multiset(35).values()) == length_bound(35)  # 1225 // 256 = 4
+    with pytest.raises(ResourceGuardError, match="rank 36 maximal multiset"):
+        maximal_multiset(36)  # 1296 // 256 = 5
 
 
 def test_pi_upper_is_upper():

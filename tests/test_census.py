@@ -330,8 +330,8 @@ def test_embedding_refused_before_the_smaller_rank_is_drawn(monkeypatch):
     assert verify_subalphabet_embedding(3).holds and drawn == {2, 3}
 
 
-def test_count_is_the_only_override():
-    # every other guard is lifted by the module constant its refusal names
+def test_no_callable_takes_an_override():
+    # every guard is lifted by the module constant its refusal names, kiselman.words.BUDGET
     names = ("bounds", "census", "oracle", "reduce", "reports", "verify", "words")
     offering = set()
     for module in [kiselman, *(getattr(kiselman, name) for name in names)]:
@@ -342,18 +342,18 @@ def test_count_is_the_only_override():
                 continue
             if callable(obj) and "allow_large" in inspect.signature(obj).parameters:
                 offering.add(obj)
-    assert offering == {count}
+    assert offering == set()
 
 
 def test_transition_table_guard_reads_the_budget_at_call_time(monkeypatch):
     # rank 4's table weighs 12 words; a cached table is refused like a new one,
-    # and allow_large does not lift its guard, whatever the order of calls
+    # and count weighs it before its own census table, whatever the order of calls
     assert len(_letter_masks(4)) == 4
     monkeypatch.setattr("kiselman.words.BUDGET", 11)
     with pytest.raises(ResourceGuardError, match="rank 4 transition table"):
         _letter_masks(4)
     with pytest.raises(ResourceGuardError, match="rank 4 transition table"):
-        count(4, allow_large=True)
+        count(4)
 
 
 def test_maximal_word_listing_weighs_two_depths(monkeypatch):
@@ -372,12 +372,13 @@ def test_small_listings_of_large_rank_allowed():
 
 
 def test_census_json_roundtrip():
-    c = replace(count(3), longest_count=longest_census(3).count)
-    payload = json.loads(c.to_json())
-    assert (payload["total"], payload["longest_count"]) == ("18", "2")
+    # the top coefficient is the number of maximal words, which longest_census lists
+    payload = json.loads(count(3).to_json())
+    assert (payload["total"], payload["longest_count"]) == ("18", str(longest_census(3).count)) == ("18", "2")
     assert json.loads(count(2).to_json()) == {
         "rank": 2,
         "total": "5",
         "by_length": {"0": "1", "1": "2", "2": "2"},
         "max_length": 2,
+        "longest_count": "2",
     }

@@ -69,7 +69,8 @@ def test_count_json_roundtrip(capsys):
 
 
 def test_count_longest(capsys):
-    assert main(["count", "--rank", "3", "--longest"]) == 0
+    # the number of maximal words is always printed, as the census's top coefficient
+    assert main(["count", "--rank", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_length"] == 4
     assert payload["longest_count"] == "2"
@@ -82,23 +83,26 @@ def test_count_recomputes_and_ignores_cache_settings(tmp_path, monkeypatch, caps
     assert capsys.readouterr().out == count(4).to_json()
     assert list(tmp_path.iterdir()) == []
     # an option count does not take is a usage error that names it
-    for extra in (["--selfcheck"], ["--by-length"], ["--force"], ["--cache", "x"]):
+    for extra in (["--selfcheck"], ["--by-length"], ["--force"], ["--cache", "x"], ["--longest"], ["--allow-large"]):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--rank", "4", *extra])
         assert exc.value.code == 2
         assert extra[0] in capsys.readouterr().err
 
 
-def test_count_guard_without_allow_large(capsys):
+def test_count_guard_names_the_budget(capsys):
     assert main(["count", "--rank", "13"]) == 2
-    assert "allow" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == (
+        "error: rank 13 census table refused: 10170559 items exceed the budget of 4000000 (kiselman.words.BUDGET)\n"
+    )
 
 
 def test_huge_rank_guard_message(capsys):
     # a cost this large is stated by its magnitude, not by its decimal digits
     assert main(["count", "--rank", "10000"]) == 2
     err = capsys.readouterr().err
-    assert "budget of 4000000" in err and "allow" in err
+    assert "budget of 4000000 (kiselman.words.BUDGET)" in err and "allow" not in err
     assert len(err.strip()) < 200
 
 
@@ -108,16 +112,15 @@ def test_verify_refuses_unaffordable_rank(capsys):
 
 
 def test_refusals_name_only_what_the_caller_can_do(capsys):
-    # verify has no override option, so its refusal names only the module constant
-    assert main(["verify", "--suite", "structure", "--max-n", "7"]) == 2
-    err = capsys.readouterr().err
-    assert "kiselman.words.BUDGET" in err and "allow" not in err
-    assert main(["count", "--rank", "13"]) == 2
-    assert "--allow-large" in capsys.readouterr().err
-    # the transition table's guard has no override, so count's refusal of it offers none
-    assert main(["count", "--rank", "1000000000000"]) == 2
-    err = capsys.readouterr().err
-    assert "transition table" in err and "allow" not in err
+    # no command has an override option, so each refusal names only the module constant
+    for argv, what in (
+        (["verify", "--suite", "structure", "--max-n", "7"], "rank 7 word listing"),
+        (["count", "--rank", "13"], "census table"),
+        (["count", "--rank", "1000000000000"], "transition table"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert what in err and "kiselman.words.BUDGET" in err and "allow" not in err
 
 
 def test_check_at_huge_rank(capsys):
@@ -141,7 +144,6 @@ LIMITED_MAIN = (
     "argv",
     [
         ["count", "--rank", "1000000000000"],
-        ["count", "--rank", "1000000000000", "--allow-large"],
         ["check", "1 2", "--rank", "200000"],
     ],
 )

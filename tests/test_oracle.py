@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from kiselman import oracle, reduce
+from kiselman import oracle, reduce, words
 from kiselman.census import count
 from kiselman.oracle import (
     CongruenceClass,
@@ -189,12 +189,16 @@ def test_universe_guard(monkeypatch):
     with pytest.raises(ResourceGuardError):
         certify_reducer(4, 12)
     # one budget, read at call time, guards the census and the oracle alike
-    monkeypatch.setattr("kiselman.words.BUDGET", 10)
+    budget = words.BUDGET
+    monkeypatch.setattr(words, "BUDGET", 10)
     with pytest.raises(ResourceGuardError):
         count(3)
-    assert count(3, allow_large=True).total == 18
     with pytest.raises(ResourceGuardError):
         congruence_closure(2, 6)
+    # restoring the budget lifts both refusals
+    monkeypatch.setattr(words, "BUDGET", budget)
+    assert count(3).total == 18
+    assert len(congruence_closure(2, 6)) == 5
 
 
 @pytest.mark.parametrize("entry", [congruence_closure, certify_reducer, verify_reducer_against_oracle])

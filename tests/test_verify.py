@@ -129,3 +129,13 @@ def test_table_output_is_pinned(fmt, max_n, pinned, capsys):
     # PYTHONPATH=src python -m kiselman.cli table --max-n 6 --format csv | sha256sum   (and 12, and --format json)
     assert main(["table", "--max-n", max_n, "--format", fmt]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned
+
+
+def test_count_output_is_pinned(capsys):
+    # every byte of count --rank 0..12, concatenated, the top coefficient included; recompute with
+    # for n in $(seq 0 12); do PYTHONPATH=src python -m kiselman.cli count --rank $n; done | sha256sum
+    out = ""
+    for n in range(13):
+        assert main(["count", "--rank", str(n)]) == 0
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "4ac735919e4d2d08e6a114e93a9146350d621b734b7879df53ee1a6b1cc69944"
