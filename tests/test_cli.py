@@ -144,6 +144,7 @@ LIMITED_MAIN = (
     "argv",
     [
         ["count", "--rank", "1000000000000"],
+        ["verify", "--suite", "identities", "--max-n", "1000000000000"],
         ["check", "1 2", "--rank", "200000"],
     ],
 )
