@@ -141,6 +141,8 @@ def binomial_lemma_check(N: int, part: int) -> BoundReport:
 
 def _parity_cap(n: int) -> int:
     """The parity limits' cap: 64^(2^k) for n = 2k, 432^(2^k) for n = 2k+1."""
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
     base = 432 if n % 2 else 64
     _weigh(base.bit_length(), n // 2, f"rank {n} parity cap")
     return base ** 2 ** (n // 2)
@@ -155,6 +157,8 @@ def even_upper_bound(k: int) -> int:
 
 def even_upper_bound_check(k: int) -> BoundReport:
     """Companion check: the prefix bound for rank 2k stays below 2^(6*2^k)."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     name = "prefix-bound-below-even-upper-bound"
     return BoundReport.at_most(name, k, prefix_upper_bound(2 * k), even_upper_bound(k), f"rank {2 * k}")
 
@@ -183,6 +187,8 @@ def scaled_log(n: int, count: int) -> str:
     bits and truncation at every step; odd n divides by sqrt(2) with isqrt.
     The string is never above the true value, nor more than one unit below its floor.
     """
+    if n < 0:
+        raise ValueError(f"rank must be nonnegative, got {n}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     log2 = (2 * count).bit_length() - 1  # the integer part; 64 fractional bits follow

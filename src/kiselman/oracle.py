@@ -15,7 +15,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import reduce
 from .reduce import canonical_form
@@ -85,6 +85,13 @@ def _closure(n: int, max_len: int) -> list[int]:
     b a b follow by transitivity.  The words holding an instance at a
     given position form one run of consecutive indices per prefix, and so
     do their rewrites, so no word is read.
+
+    Instances are merged in order of their last position e, x x before
+    a b a, so at each length every instance merged before a run ends inside
+    the prefix its words share: a run is touched as a whole or not at all.
+    While every word of the higher run is still a root, one slice links it
+    to the lower run word by word; only touched runs, and the unit runs at
+    the last position, go through the path-halving finds.
     """
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
@@ -95,8 +102,8 @@ def _closure(n: int, max_len: int) -> list[int]:
     _guard(total, f"congruence closure over rank {n}, length <= {max_len}")
     parent = list(range(total))
 
-    def merge(src: int, dst: int, count: int) -> None:
-        for a, b in zip(range(src, src + count), range(dst, dst + count)):
+    def union(edges: Iterable[tuple[int, int]]) -> None:
+        for a, b in edges:
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]
@@ -110,19 +117,31 @@ def _closure(n: int, max_len: int) -> list[int]:
 
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]  # digits, a < b
     swap = n * n - n + 1  # a b a -> b a b adds (b - a) * swap
+
+    def starts(here: int, shorter: int, e: int, run: int) -> Iterator[tuple[int, int]]:
+        # (lo, hi), lo < hi: the first words of the two runs each instance
+        # ending at e links, x x ones first
+        for k in range(power[e]):  # the prefix, then x, as one number
+            yield shorter + k * run, here + (k * n + k % n) * run
+        for head in range(power[e - 2] if e > 1 else 0):
+            for a, b in pairs:
+                src = here + ((head * n + a) * n * n + b * n + a) * run
+                yield shorter + ((head * n + a) * n + b) * run, src
+                yield src, src + (b - a) * swap * run
+
     for ell in range(2, max_len + 1):
         here, shorter = offset[ell], offset[ell - 1]
-        for p in range(ell - 1):  # x x at p, p + 1
-            run = power[ell - 2 - p]
-            for k in range(power[p + 1]):  # the prefix, then x, as one number
-                merge(here + (k * n + k % n) * run, shorter + k * run, run)
-        for p in range(ell - 2):  # a b a at p, p + 1, p + 2
-            run = power[ell - 3 - p]
-            for head in range(power[p]):
-                for a, b in pairs:
-                    src = here + ((head * n + a) * n * n + b * n + a) * run
-                    merge(src, shorter + ((head * n + a) * n + b) * run, run)
-                    merge(src, src + (b - a) * swap * run, run)
+        for e in range(1, ell - 1):
+            run = power[ell - 1 - e]
+            steps = run * (run - 1) // 2  # sum(range(run))
+            for lo, hi in starts(here, shorter, e, run):
+                # parent[i] <= i, so the sums match only if every word of the
+                # higher run is its own root; lo < hi keeps the smaller roots
+                if parent[hi] == hi and sum(parent[hi : hi + run]) == run * hi + steps:
+                    parent[hi : hi + run] = parent[lo : lo + run]
+                else:
+                    union(zip(range(lo, lo + run), range(hi, hi + run)))
+        union(starts(here, shorter, ell - 1, 1))
     # parent[i] <= i, so one pass in index order leaves every entry a root
     for i in range(total):
         parent[i] = parent[parent[i]]

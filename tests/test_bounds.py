@@ -171,6 +171,10 @@ def test_even_upper_bound():
         even_upper_bound(0)
     for k in (1, 2, 3):
         assert even_upper_bound_check(k).holds
+    # the check names k, as the bound does, not the rank 2k it derives
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"^need k >= 1, got {k}$"):
+            even_upper_bound_check(k)
 
 
 def test_odd_exponent():
@@ -208,6 +212,16 @@ def test_scaled_log_values():
     assert scaled_log(2, 5) == "1.660964"
     with pytest.raises(ValueError, match="count must be positive, got 0"):
         scaled_log(3, 0)
+
+
+@pytest.mark.parametrize("n", [-1, -2, -5])
+def test_negative_rank_is_refused_by_name(n):
+    # lower_bound's message, not a bare shift's "negative shift count" or a
+    # scaled log of a rank that does not exist
+    message = f"^rank must be nonnegative, got {n}$"
+    for call in (lambda: lower_bound(n), lambda: scaled_log(n, 5), lambda: limit_report([(n, 1)])):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def _at_most_scaled_log(n: int, c: int, p: int, q: int) -> bool:

@@ -1,10 +1,13 @@
-"""The congruence oracle, and the union-find and reduce-every-member scan
-it replaced, kept here as references.
+"""The congruence oracle, and the union-find, the reduce-every-member scan
+and the word-by-word closure it replaced, kept here as references.
 
 The reference merges both sides of all four relation edges, sorts each
 class and the class list, and reduces every member with `canonical_form`;
 the oracle merges each relation instance from one side into index-ordered
-roots and reduces the words past the cap by memo.
+roots and reduces the words past the cap by memo.  `merge_closure` merges
+the same instances, position by position, every run through the finds;
+the oracle merges them by their last position and links each run whose
+words are all still roots with one slice, and must leave the same roots.
 """
 
 import json
@@ -27,6 +30,8 @@ from kiselman.words import ResourceGuardError, Word, is_canonical
 CLASS_PAIRS = [(0, 3), (1, 5), (2, 7), (2, 9), (3, 6), (3, 7), (4, 6), (4, 8), (5, 5), (5, 6), (6, 4)]
 # the benchmark's certify pairs, four that retry and three that do not, and (3, 7)
 CERTIFY_PAIRS = [(3, 4), (3, 5), (4, 4), (5, 4), (2, 7), (5, 3), (6, 3), (3, 7)]
+# the benchmark's retry universes, a rank heavy in unit runs, and longer caps
+CLOSURE_PAIRS = [(3, 6), (3, 7), (4, 6), (5, 6), (2, 12), (6, 5), (3, 9), (4, 9)]
 
 
 class _UnionFind:
@@ -107,6 +112,45 @@ def _scan_classes(n: int, classes: list[CongruenceClass]) -> list[dict]:
                     }
                 )
     return violations
+
+
+def merge_closure(n: int, max_len: int) -> list[int]:
+    # x x at every position, then a b a at every position, each run found
+    # word by word through the path-halving finds
+    power, offset = oracle._layout(n, max_len)
+    parent = list(range(offset[-1]))
+
+    def merge(src: int, dst: int, count: int) -> None:
+        for a, b in zip(range(src, src + count), range(dst, dst + count)):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    swap = n * n - n + 1
+    for ell in range(2, max_len + 1):
+        here, shorter = offset[ell], offset[ell - 1]
+        for p in range(ell - 1):  # x x at p, p + 1
+            run = power[ell - 2 - p]
+            for k in range(power[p + 1]):
+                merge(here + (k * n + k % n) * run, shorter + k * run, run)
+        for p in range(ell - 2):  # a b a at p, p + 1, p + 2
+            run = power[ell - 3 - p]
+            for head in range(power[p]):
+                for a, b in pairs:
+                    src = here + ((head * n + a) * n * n + b * n + a) * run
+                    merge(src, shorter + ((head * n + a) * n + b) * run, run)
+                    merge(src, src + (b - a) * swap * run, run)
+    for i in range(len(parent)):
+        parent[i] = parent[parent[i]]
+    return parent
 
 
 def reference_certify(n: int, max_len: int) -> OracleCertification:
@@ -214,6 +258,14 @@ def test_negative_cap_is_refused(entry):
 def test_classes_match_reference(n, max_len):
     # members, their order, canonical members and the class order
     assert congruence_closure(n, max_len) == reference_closure(n, max_len)
+
+
+@pytest.mark.parametrize("n,max_len", CLOSURE_PAIRS)
+def test_closure_matches_merge_reference(n, max_len):
+    # the same roots, list for list; each entry is its class's first member
+    root = oracle._closure(n, max_len)
+    assert root == merge_closure(n, max_len)
+    assert all(r <= i and root[r] == r for i, r in enumerate(root))
 
 
 @pytest.mark.parametrize("n,max_len", CERTIFY_PAIRS)
