@@ -5,81 +5,70 @@ aba = bab = ab whenever a < b.  This package reduces words to their
 unique canonical forms, multiplies elements, enumerates and counts all
 canonical words per rank, and certifies the growth bounds and structure
 results with exact integer and rational arithmetic.
+
+Importing the package loads no submodule: each public name, and each
+submodule, is imported on first access (PEP 562), so a CLI command loads
+only the modules it runs.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    binomial_lemma_check,
-    even_upper_bound,
-    km_upper_bound,
-    limit_report,
-    lower_bound,
-    maximal_multiset,
-    monotone_sequence_check,
-    multinomial,
-    multinomial_identity_check,
-    prefix_upper_bound,
-    scaled_log,
-)
-from .census import (
-    Census,
-    LongestCensus,
-    count,
-    filtered_recount,
-    iter_canonical,
-    longest_census,
-)
-from .oracle import certify_reducer, congruence_closure, verify_reducer_against_oracle
-from .reduce import KElement, canonical_form, delete_step, generators, identity, multiply
-from .reports import BoundReport, reports_to_csv, reports_to_json
-from .verify import run_all, run_suite
-from .words import (
-    CanonicalViolation,
-    ResourceGuardError,
-    Word,
-    canonical_violation,
-    is_canonical,
-    length_bound,
-)
+# the verify suites in report order, here so the CLI can offer them without importing verify
+SUITES = ("reducer", "bounds", "identities", "structure")
 
-__all__ = [
-    "__version__",
-    "Word",
-    "KElement",
-    "Census",
-    "LongestCensus",
-    "BoundReport",
-    "CanonicalViolation",
-    "ResourceGuardError",
-    "length_bound",
-    "is_canonical",
-    "canonical_violation",
-    "canonical_form",
-    "delete_step",
-    "multiply",
-    "identity",
-    "generators",
-    "iter_canonical",
-    "count",
-    "filtered_recount",
-    "longest_census",
-    "congruence_closure",
-    "certify_reducer",
-    "verify_reducer_against_oracle",
-    "lower_bound",
-    "km_upper_bound",
-    "prefix_upper_bound",
-    "even_upper_bound",
-    "maximal_multiset",
-    "multinomial",
-    "multinomial_identity_check",
-    "binomial_lemma_check",
-    "monotone_sequence_check",
-    "limit_report",
-    "scaled_log",
-    "run_suite",
-    "run_all",
-    "reports_to_json",
-    "reports_to_csv",
-]
+_SUBMODULES = ("words", "reduce", "census", "oracle", "verify", "bounds", "reports", "cli")
+
+# the submodule that defines each public name
+_HOMES = {
+    "Word": "words",
+    "KElement": "reduce",
+    "Census": "census",
+    "LongestCensus": "census",
+    "BoundReport": "reports",
+    "CanonicalViolation": "words",
+    "ResourceGuardError": "words",
+    "length_bound": "words",
+    "is_canonical": "words",
+    "canonical_violation": "words",
+    "canonical_form": "reduce",
+    "delete_step": "reduce",
+    "multiply": "reduce",
+    "identity": "reduce",
+    "generators": "reduce",
+    "iter_canonical": "census",
+    "count": "census",
+    "filtered_recount": "census",
+    "longest_census": "census",
+    "congruence_closure": "oracle",
+    "certify_reducer": "oracle",
+    "verify_reducer_against_oracle": "oracle",
+    "lower_bound": "bounds",
+    "km_upper_bound": "bounds",
+    "prefix_upper_bound": "bounds",
+    "even_upper_bound": "bounds",
+    "maximal_multiset": "bounds",
+    "multinomial": "bounds",
+    "multinomial_identity_check": "bounds",
+    "binomial_lemma_check": "bounds",
+    "monotone_sequence_check": "bounds",
+    "limit_report": "bounds",
+    "scaled_log": "bounds",
+    "run_suite": "verify",
+    "run_all": "verify",
+    "reports_to_json": "reports",
+    "reports_to_csv": "reports",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name in _HOMES:
+        value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -85,13 +85,14 @@ class Word:
 
     @classmethod
     def from_text(cls, text: str, rank: int) -> "Word":
-        """Parse whitespace-separated positive integers; "" is the empty word."""
+        """Parse whitespace-separated positive integers; "" is the empty word.
+
+        Each letter is ASCII digits only: no sign, underscore or other script's digits.
+        """
         parts = text.split()
-        try:
-            letters = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"not a word: {text!r}") from exc
-        return cls(letters, rank)
+        if not all(p.isascii() and p.isdigit() for p in parts):
+            raise ValueError(f"not a word: {text!r}")
+        return cls(tuple(map(int, parts)), rank)
 
     def to_text(self) -> str:
         return " ".join(str(x) for x in self.letters)

@@ -282,3 +282,61 @@ def test_cli_import_leaves_numpy_unloaded():
     proc = _run_without_numpy(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+# a fresh interpreter runs one command through kiselman.cli.main and prints
+# the kiselman submodules it left in sys.modules
+FOOTPRINT = (
+    "import sys\nfrom kiselman.cli import main\nmain(sys.argv[1:])\n"
+    "print(' '.join(sorted(m.split('.')[1] for m in sys.modules if m.startswith('kiselman.'))))"
+)
+
+
+@pytest.mark.parametrize(
+    ("argv", "loaded"),
+    [
+        (["check", "1 2 1", "--rank", "3"], "cli words"),
+        (["reduce", "2 1 2", "--rank", "2"], "cli reduce words"),
+        (["mul", "1 2", "1", "--rank", "2"], "cli reduce words"),
+        (["count", "--rank", "3"], "bounds census cli reports words"),
+        (["table", "--max-n", "2"], "bounds census cli reports words"),
+        (["verify", "--suite", "bounds", "--max-n", "2"], "bounds census cli reports verify words"),
+        (["verify", "--suite", "reducer", "--max-n", "1"], "bounds census cli oracle reduce reports verify words"),
+    ],
+    ids=["check", "reduce", "mul", "count", "table", "verify-bounds", "verify-reducer"],
+)
+def test_each_command_imports_only_what_it_runs(argv, loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv], capture_output=True, text=True, env=_package_env()
+    )
+    assert proc.stdout.splitlines()[-1:] == [loaded], proc.stderr
+
+
+SUBMODULES = ("words", "reduce", "census", "oracle", "verify", "bounds", "reports", "cli")
+
+
+def test_package_import_loads_no_submodule():
+    # the benchmark's workers read every submodule off the package after these two imports
+    code = (
+        "import sys, kiselman\n"
+        "print([m for m in sys.modules if m.startswith('kiselman.')])\n"
+        "import kiselman.cli\n"
+        f"print(all(getattr(kiselman, m) is sys.modules['kiselman.' + m] for m in {SUBMODULES!r}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_package_env())
+    assert proc.stdout == "[]\nTrue\n", proc.stderr
+
+
+def test_lazy_namespace_serves_every_public_name():
+    for name in kiselman.__all__:
+        assert getattr(kiselman, name) is not None
+    for name in SUBMODULES:
+        assert getattr(kiselman, name) is sys.modules[f"kiselman.{name}"]
+    assert kiselman.count is count
+    # cli imports the reducer per command, and still serves it as an attribute
+    assert kiselman.cli.canonical_form is kiselman.reduce.canonical_form
+    namespace: dict = {}
+    exec("from kiselman import *", namespace)
+    assert set(kiselman.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        kiselman.no_such_name

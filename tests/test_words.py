@@ -95,8 +95,10 @@ def test_word_validation():
         Word((4,), 3)
     with pytest.raises(ValueError):
         Word((), -1)
-    with pytest.raises(ValueError):
-        Word.from_text("1 x 2", 3)
+    # a letter is ASCII decimal digits; int() alone reads "1_0", "+1" and "\u0661" as 10, 1 and 1
+    for text in ("1 x 2", "1_0 2", "+1", "\u0661 2", "-1"):
+        with pytest.raises(ValueError, match="not a word"):
+            Word.from_text(text, 10)
     # a bool, float or str is no letter, even one equal to a letter; the error names it
     for letters, bad in (((True, 1), "True"), ((1.5,), "1.5"), ((2, 1.0), "1.0"), (("1",), "'1'")):
         with pytest.raises(ValueError, match=f"letter {bad} "):
