@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from typing import Iterable, Iterator
 
 from . import reduce
@@ -97,9 +97,12 @@ def _closure(n: int, max_len: int) -> list[int]:
         raise ValueError(f"rank must be nonnegative, got {n}")
     if max_len < 0:
         raise ValueError(f"length cap must be nonnegative, got {max_len}")
+    what = f"congruence closure over rank {n}, length <= {max_len}"
+    # its longest words number at least 2^(b * max_len), b = (n // 2).bit_length()
+    _guard(1, what, (n // 2).bit_length() * max_len)
     power, offset = _layout(n, max_len)
     total = offset[-1]
-    _guard(total, f"congruence closure over rank {n}, length <= {max_len}")
+    _guard(total, what)
     parent = list(range(total))
 
     def union(edges: Iterable[tuple[int, int]]) -> None:
@@ -205,6 +208,40 @@ def _canonical_by_class(root: list[int], kept: int, red: list[int]) -> dict[int,
     return by_class
 
 
+def _reduce_past(n: int, max_len: int, red: list[int]) -> None:
+    """Extend red over the words of length max_len + 1 and + 2, one step per run."""
+    step = reduce._deletion_index  # the reducer's own lookup, patched or not
+    masks = _letter_masks(n)
+    power, offset = _layout(n, max_len + 2)
+    def cut(value: int, r: int) -> int:  # value less its digit of place r
+        return value // (r * n) * r + value % r
+
+    for ell in (max_len + 1, max_len + 2):
+        here, shorter = offset[ell], offset[ell - 1]
+        red.extend(repeat(0, power[ell]))
+        stack = [((), 0, 0, 0)]  # canonical prefixes: letters, value, ns, ng
+        while stack:
+            prefix, value, ns, ng = stack.pop()
+            e = len(prefix)
+            for x, (bit, keep_ns, keep_ng) in enumerate(masks, 1):
+                w, v = prefix + (x,), value * n + x - 1
+                if e + 1 < ell and not (ns | ng) & bit:
+                    stack.append((w, v, (ns & keep_ns) | bit, (ng & keep_ng) | bit))
+                    continue
+                run = power[ell - 1 - e]
+                hi = here + v * run
+                d = step(w + (1,) * (ell - 1 - e), masks)
+                if d is None:
+                    red[hi : hi + run] = range(hi, hi + run)
+                elif d <= e:
+                    lo = shorter + cut(v, power[e - d]) * run
+                    red[hi : hi + run] = red[lo : lo + run]
+                else:
+                    for i, tail in enumerate(product(range(1, n + 1), repeat=ell - 1 - e), hi):
+                        d = step(w + tail, masks)
+                        red[i] = i if d is None else red[shorter + cut(i - here, power[ell - 1 - d])]
+
+
 def certify_reducer(n: int, max_len: int) -> OracleCertification:
     """Run the oracle and check the reducer against every class.
 
@@ -218,30 +255,23 @@ def certify_reducer(n: int, max_len: int) -> OracleCertification:
     and examines the classes containing a word of length <= max_len,
     i.e. the congruence restricted to the original universe.  A longer
     word reduces to what the word left by its first deletion reduces to,
-    read from a memo in index order: the iterated leftmost deletion that
-    `canonical_form` performs.
+    read from a memo: the iterated leftmost deletion that `canonical_form`
+    performs.  `_reduce_past` fills it stepping once per canonical word
+    and once per run of words sharing a canonical prefix through where
+    the step stops, so the step must depend on nothing past that point;
+    a step that deletes past it sends its run word by word.
     """
-    step = reduce._deletion_index  # the reducer's own lookup, patched or not
-    masks = _letter_masks(n)
     root = _closure(n, max_len)
     kept = len(root)  # the words of length <= max_len come first in any universe
     # shorter words come first, so a short word's index is the same under the retry's cap
-    power, offset = _layout(n, max_len + 2)
+    offset = _layout(n, max_len + 2)[1]
     # red[i]: the index of word i's reduction
     red = [_index(canonical_form(Word(w, n)).word.letters, n, offset) for w in _universe(n, max_len)]
     by_class = _canonical_by_class(root, kept, red)
     retried = not all(by_class.values())
     if retried:
         root = _closure(n, max_len + 2)
-        for ell in (max_len + 1, max_len + 2):
-            here, shorter = offset[ell], offset[ell - 1]
-            for value, w in enumerate(product(range(1, n + 1), repeat=ell)):
-                d = step(w, masks)
-                if d is None:
-                    red.append(here + value)
-                else:
-                    r = power[ell - 1 - d]
-                    red.append(red[shorter + value // (r * n) * r + value % r])
+        _reduce_past(n, max_len, red)
         by_class = _canonical_by_class(root, kept, red)
 
     target = {r: members[0] for r, members in by_class.items() if len(members) == 1}

@@ -8,9 +8,13 @@ roots and reduces the words past the cap by memo.  `merge_closure` merges
 the same instances, position by position, every run through the finds;
 the oracle merges them by their last position and links each run whose
 words are all still roots with one slice, and must leave the same roots.
+`reference_memo` puts every word past the cap through the reducer's step;
+the oracle steps once per run of words sharing a canonical prefix and an
+owed letter, and must fill the same memo.
 """
 
 import json
+import time
 from itertools import product
 
 import pytest
@@ -153,6 +157,23 @@ def merge_closure(n: int, max_len: int) -> list[int]:
     return parent
 
 
+def reference_memo(n: int, max_len: int, red: list[int]) -> None:
+    # every word of length max_len + 1 and + 2 through the reducer's step, in
+    # index order: it reduces to what its first deletion leaves reduces to
+    step = reduce._deletion_index
+    masks = words._letter_masks(n)
+    power, offset = oracle._layout(n, max_len + 2)
+    for ell in (max_len + 1, max_len + 2):
+        here, shorter = offset[ell], offset[ell - 1]
+        for value, w in enumerate(product(range(1, n + 1), repeat=ell)):
+            d = step(w, masks)
+            if d is None:
+                red.append(here + value)
+            else:
+                r = power[ell - 1 - d]
+                red.append(red[shorter + value // (r * n) * r + value % r])
+
+
 def reference_certify(n: int, max_len: int) -> OracleCertification:
     classes = reference_closure(n, max_len)
     retried = any(len(c.canonical_members) == 0 for c in classes)
@@ -275,16 +296,79 @@ def test_certification_matches_reference(n, max_len):
     assert _fields(cert) == _fields(reference_certify(n, max_len))
 
 
-def _wrong_past(cap, monkeypatch):
-    # the reducer's step deletes the first letter of any reducible word
-    # longer than the cap; canonicity is untouched
+def _wrong_past(cap, monkeypatch, fault=lambda letters: 0):
+    # the reducer's step deletes at fault(letters), the first letter unless
+    # given, in any reducible word longer than the cap; canonicity is untouched
     step = reduce._deletion_index
 
     def faulty(letters, masks):
         idx = step(letters, masks)
-        return 0 if idx is not None and len(letters) > cap else idx
+        return fault(letters) if idx is not None and len(letters) > cap else idx
 
     monkeypatch.setattr(reduce, "_deletion_index", faulty)
+
+
+# faults past the cap: inside the prefix a run shares, a claim that the
+# word is canonical, and a deletion past that prefix
+FAULTS = {"first": lambda letters: 0, "none": lambda letters: None, "last": lambda letters: len(letters) - 1}
+# the certify pairs, a larger retry universe, and ranks 1-3 at small caps
+MEMO_PAIRS = [*CERTIFY_PAIRS, (4, 6), (1, 0), (1, 5), (2, 0), (2, 1), (2, 5), (3, 0), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+@pytest.mark.parametrize("n,max_len", MEMO_PAIRS)
+def test_walk_fills_the_memo_word_for_word(n, max_len, fault, monkeypatch):
+    if fault:
+        _wrong_past(max_len, monkeypatch, FAULTS[fault])
+    offset = oracle._layout(n, max_len + 2)[1]
+    red = [oracle._index(canonical_form(Word(w, n)).word.letters, n, offset) for w in oracle._universe(n, max_len)]
+    expected = red.copy()
+    reference_memo(n, max_len, expected)
+    oracle._reduce_past(n, max_len, red)
+    assert red == expected
+
+
+def test_memo_catches_a_deletion_past_the_shared_prefix(monkeypatch):
+    # the last letter lies past the prefix of every run longer than one
+    # word, so the walk steps through those runs word by word
+    _wrong_past(4, monkeypatch, FAULTS["last"])
+    cert = certify_reducer(3, 4)
+    assert not cert.holds and len(cert.violations) == 508
+    assert _fields(cert) == _fields(reference_certify(3, 4))
+
+
+@pytest.mark.parametrize("n,max_len,calls", [(3, 4, 74), (4, 4, 524), (5, 4, 2850)])
+def test_memo_steps_once_per_run(n, max_len, calls, monkeypatch):
+    # a run per canonical prefix of length e and letter it owes, of which
+    # there are n * c_e - c_(e+1), and one per canonical word of each length
+    step = reduce._deletion_index
+    long = []
+
+    def counted(letters, masks):
+        long.append(len(letters) > max_len)
+        return step(letters, masks)
+
+    monkeypatch.setattr(reduce, "_deletion_index", counted)
+    assert certify_reducer(n, max_len).holds
+    c = count(n).by_length
+
+    def runs(ell):
+        return sum(n * c.get(e, 0) - c.get(e + 1, 0) for e in range(ell)) + c.get(ell, 0)
+
+    assert sum(long) == runs(max_len + 1) + runs(max_len + 2) == calls
+
+
+def test_long_cap_is_refused_before_its_powers(monkeypatch):
+    # n^k for every k <= 10**6 would take tens of gigabytes to build
+    def unbuilt(n, max_len):
+        raise AssertionError(f"powers of {n} built up to {max_len}")
+
+    monkeypatch.setattr(oracle, "_layout", unbuilt)
+    for entry in (congruence_closure, certify_reducer):
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match=r"length <= 1000000 refused: about 2\^1000000 items"):
+            entry(2, 10**6)
+        assert time.perf_counter() - start < 1
 
 
 def test_memo_catches_reducer_fault_past_the_cap(monkeypatch):

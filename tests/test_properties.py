@@ -3,14 +3,16 @@
 The mask scan behind `canonical_violation` and the reducer's deletion
 index are compared against the gap-slicing definitions they replace, kept
 here as references; the reducer is checked for idempotence, content,
-canonicity, the reverse-and-flip anti-automorphism and associativity.
+canonicity, the reverse-and-flip anti-automorphism and associativity, and
+its deletion step for depending on nothing past where the owed-state pass
+stops, which the oracle's memo walk assumes.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kiselman.reduce import KElement, _deletion_index, canonical_form, multiply
-from kiselman.words import CanonicalViolation, Word, _letter_masks, canonical_violation, is_canonical
+from kiselman.words import CanonicalViolation, Word, _first_owed, _letter_masks, canonical_violation, is_canonical
 
 PROPERTY = settings(derandomize=True, max_examples=400, deadline=None, database=None)
 
@@ -82,6 +84,18 @@ def test_mask_scan_gives_the_gap_scan_witness(word):
 def test_mask_deletion_index_matches_gap_slicing(word):
     assert _deletion_index(word.letters, _letter_masks(word.rank)) == reference_deletion_index(word.letters)
     assert canonical_form(word).word.letters == reference_reduce(word.letters)
+
+
+@PROPERTY
+@given(words(max_rank=16), st.data())
+def test_deletion_index_ignores_what_follows_its_stop(word, data):
+    # any suffix in place of everything after the stop leaves the deletion
+    masks = _letter_masks(word.rank)
+    hit = _first_owed(word.letters, masks)
+    if hit is not None:
+        suffix = tuple(data.draw(st.lists(st.integers(1, word.rank), max_size=60)))
+        head = word.letters[: hit[0] + 1]
+        assert _deletion_index(head + suffix, masks) == _deletion_index(word.letters, masks)
 
 
 @PROPERTY
