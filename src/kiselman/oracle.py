@@ -76,7 +76,18 @@ def _word(i: int, n: int, offset: list[int]) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
-def _closure(n: int, max_len: int) -> list[int]:
+def _free_heads(n: int, max_len: int) -> list[list[int]]:
+    """Base-n values, in increasing order and by length up to max_len, of
+    the words with no factor x x or x y x: n(n-1)(n-2)^(m-2) of length
+    m >= 2.  The levels stop before the first empty one.
+    """
+    levels = [[0]] if max_len >= 0 else []
+    while levels and levels[-1] and (m := len(levels)) <= max_len:  # x is none of h's last m - 1 <= 2 digits
+        levels.append([h * n + x for h in levels[-1] for x in range(n) if x not in (h % n, h // n % n)[: m - 1]])
+    return [level for level in levels if level]
+
+
+def _closure(n: int, max_len: int, listed: bool = False) -> list[int]:
     """root[i], the index of the first word in word i's class.
 
     Union-find whose roots keep the smaller index, so each class's root is
@@ -85,6 +96,16 @@ def _closure(n: int, max_len: int) -> list[int]:
     b a b follow by transitivity.  The words holding an instance at a
     given position form one run of consecutive indices per prefix, and so
     do their rewrites, so no word is read.
+
+    Only instances whose head, the letters before them, holds none are
+    merged.  If w holds I at s, I gives w', and w[:s] holds J: rewrite J
+    (x x to x, a b a to a b, b a b first to a b a), then I, then J back
+    out of w'.  J lies wholly before I, so the rewrites commute, and each
+    link of that path lies in a shorter word, or in one as long with an
+    instance starting before s.  No rewrite lengthens a word, so by
+    induction on (length, start) the merged links join w and w' within
+    the cap.  Heads run out past length 1 at rank 1 and 2 at rank 2, and
+    the positions past them are not visited.
 
     Instances are merged in order of their last position e, x x before
     a b a, so at each length every instance merged before a run ends inside
@@ -100,10 +121,14 @@ def _closure(n: int, max_len: int) -> list[int]:
     what = f"congruence closure over rank {n}, length <= {max_len}"
     # its longest words number at least 2^(b * max_len), b = (n // 2).bit_length()
     _guard(1, what, (n // 2).bit_length() * max_len)
+    if listed:  # the caller holds every word as a tuple: the sum of l * n^l letters over l <= max_len
+        d = n - 1
+        _guard(((max_len * d - 1) * n ** (max_len + 1) + n) // d**2 if d else max_len * (max_len + 1) // 2, what)
     power, offset = _layout(n, max_len)
     total = offset[-1]
     _guard(total, what)
-    parent = list(range(total))
+    # the longer words join a length at a time, into the room merged shorter ones free
+    parent = list(range(offset[min(max_len, 1) + 1]))
 
     def union(edges: Iterable[tuple[int, int]]) -> None:
         for a, b in edges:
@@ -120,13 +145,16 @@ def _closure(n: int, max_len: int) -> list[int]:
 
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]  # digits, a < b
     swap = n * n - n + 1  # a b a -> b a b adds (b - a) * swap
+    heads = _free_heads(n, max_len - 2)
 
     def starts(here: int, shorter: int, e: int, run: int) -> Iterator[tuple[int, int]]:
         # (lo, hi), lo < hi: the first words of the two runs each instance
-        # ending at e links, x x ones first
-        for k in range(power[e]):  # the prefix, then x, as one number
-            yield shorter + k * run, here + (k * n + k % n) * run
-        for head in range(power[e - 2] if e > 1 else 0):
+        # ending at e with a free head links, x x ones first
+        for head in heads[e - 1] if e <= len(heads) else ():
+            for x in range(n):
+                k = head * n + x  # the prefix, then x, as one number
+                yield shorter + k * run, here + (k * n + x) * run
+        for head in heads[e - 2] if 1 < e <= len(heads) + 1 else ():
             for a, b in pairs:
                 src = here + ((head * n + a) * n * n + b * n + a) * run
                 yield shorter + ((head * n + a) * n + b) * run, src
@@ -134,7 +162,8 @@ def _closure(n: int, max_len: int) -> list[int]:
 
     for ell in range(2, max_len + 1):
         here, shorter = offset[ell], offset[ell - 1]
-        for e in range(1, ell - 1):
+        parent += range(here, offset[ell + 1])
+        for e in range(1, min(ell - 1, len(heads) + 2)):
             run = power[ell - 1 - e]
             steps = run * (run - 1) // 2  # sum(range(run))
             for lo, hi in starts(here, shorter, e, run):
@@ -155,12 +184,12 @@ def congruence_closure(n: int, max_len: int) -> list[CongruenceClass]:
     """Classes of the defining-relation congruence on words of length <= max_len.
 
     The closure is exact within the cap: every relation instance whose two
-    sides both fit under the cap is merged.  Derivations forced through
+    sides both fit under the cap joins them.  Derivations forced through
     longer intermediates can only split classes, never mix them, which the
     certification checks detect.  Classes are ordered by their first
     member, and members by length, then lexicographically.
     """
-    root = _closure(n, max_len)
+    root = _closure(n, max_len, listed=True)
     masks = _letter_masks(n)
     members: dict[int, list[tuple[int, ...]]] = {}
     canonical: dict[int, list[tuple[int, ...]]] = {}

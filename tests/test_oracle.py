@@ -5,9 +5,10 @@ The reference merges both sides of all four relation edges, sorts each
 class and the class list, and reduces every member with `canonical_form`;
 the oracle merges each relation instance from one side into index-ordered
 roots and reduces the words past the cap by memo.  `merge_closure` merges
-the same instances, position by position, every run through the finds;
-the oracle merges them by their last position and links each run whose
-words are all still roots with one slice, and must leave the same roots.
+every instance, position by position, every run through the finds; the
+oracle merges only those whose head holds no instance, by their last
+position, links each run whose words are all still roots with one slice,
+and must leave the same roots.
 `reference_memo` puts every word past the cap through the reducer's step;
 the oracle steps once per run of words sharing a canonical prefix and an
 owed letter, and must fill the same memo.
@@ -34,8 +35,9 @@ from kiselman.words import ResourceGuardError, Word, is_canonical
 CLASS_PAIRS = [(0, 3), (1, 5), (2, 7), (2, 9), (3, 6), (3, 7), (4, 6), (4, 8), (5, 5), (5, 6), (6, 4)]
 # the benchmark's certify pairs, four that retry and three that do not, and (3, 7)
 CERTIFY_PAIRS = [(3, 4), (3, 5), (4, 4), (5, 4), (2, 7), (5, 3), (6, 3), (3, 7)]
-# the benchmark's retry universes, a rank heavy in unit runs, and longer caps
-CLOSURE_PAIRS = [(3, 6), (3, 7), (4, 6), (5, 6), (2, 12), (6, 5), (3, 9), (4, 9)]
+# the benchmark's retry universes, a rank heavy in unit runs, longer caps,
+# and ranks 1 and 2 past their longest free head
+CLOSURE_PAIRS = [(3, 6), (3, 7), (4, 6), (5, 6), (2, 12), (6, 5), (3, 9), (4, 9), (1, 40), (2, 16), (5, 7), (6, 6)]
 
 
 class _UnionFind:
@@ -275,10 +277,59 @@ def test_negative_cap_is_refused(entry):
     assert len(congruence_closure(2, 0)) == 1
 
 
-@pytest.mark.parametrize("n,max_len", CLASS_PAIRS)
+# and every other pair of rank <= 4 and cap <= 6
+SMALL_PAIRS = sorted({(n, cap) for n in range(5) for cap in range(7)} - {*CLASS_PAIRS})
+
+
+@pytest.mark.parametrize("n,max_len", CLASS_PAIRS + SMALL_PAIRS)
 def test_classes_match_reference(n, max_len):
     # members, their order, canonical members and the class order
     assert congruence_closure(n, max_len) == reference_closure(n, max_len)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_free_heads_are_the_words_without_an_instance(n):
+    # every word with no factor x x or x y x, in index order, and no other
+    heads = oracle._free_heads(n, 6)
+    for m in range(7):
+        expected = [
+            value
+            for value, w in enumerate(product(range(n), repeat=m))
+            if all(w[i] != w[i + 1] for i in range(m - 1)) and all(w[i] != w[i + 2] for i in range(m - 2))
+        ]
+        assert (heads[m] if m < len(heads) else []) == expected
+        assert len(expected) == (1 if m == 0 else n if m == 1 else n * (n - 1) * (n - 2) ** (m - 2))
+    # the levels stop before the first empty one
+    assert len(heads) == {0: 1, 1: 2, 2: 3}.get(n, 7)
+
+
+def test_rank_one_closure_is_linear_in_the_cap():
+    # no head is free past length 1, so no position past it is visited;
+    # visiting all cap^2 / 2 (length, position) pairs takes minutes
+    start = time.perf_counter()
+    assert oracle._closure(1, 20_000) == [0, *[1] * 20_000]
+    assert time.perf_counter() - start < 5
+
+
+def test_listed_closure_weighs_its_letters(monkeypatch):
+    # congruence_closure holds every word as a tuple: sum of l * n^l letters
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="length <= 100000 refused: 5000050000 items"):
+        congruence_closure(1, 10**5)
+    assert time.perf_counter() - start < 1
+    assert len(congruence_closure(1, 1000)) == 2
+    for n, max_len, letters in ((4, 10, 13_514_980), (3, 12, 9_167_358)):
+        with pytest.raises(ResourceGuardError, match=f"length <= {max_len} refused: {letters} items"):
+            congruence_closure(n, max_len)
+    # the largest class pair, (4, 8), holds 669 924 letters, within the budget
+    monkeypatch.setattr(words, "BUDGET", 669_923)
+    with pytest.raises(ResourceGuardError, match="length <= 8 refused: 669924 items"):
+        congruence_closure(4, 8)
+    # the certification holds no word: its guard still counts words
+    monkeypatch.setattr(words, "BUDGET", 255)
+    assert certify_reducer(2, 7).universe == 255
+    with pytest.raises(ResourceGuardError, match="length <= 7 refused: 1538 items"):
+        congruence_closure(2, 7)
 
 
 @pytest.mark.parametrize("n,max_len", CLOSURE_PAIRS)
