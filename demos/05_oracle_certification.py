@@ -35,7 +35,7 @@ def main() -> None:
         )
     print()
     print("rank 4 with cap 8 passes too; it is left to the test suite, since")
-    print("its retry over 1.4 million words takes about 2 s (shared 2-core Xeon)")
+    print("its retry over 1.4 million words takes about 1 s (shared 2-core Xeon)")
 
 
 if __name__ == "__main__":

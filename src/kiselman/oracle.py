@@ -7,6 +7,10 @@ b*a*b = a*b, a*b*a = b*a*b, for a < b) inside the cap.  Each class must
 contain exactly one canonical word and the reducer must map every member
 onto it.  This is the independent ground truth against which the
 reduction rule is validated; it assumes nothing about the rule itself.
+The reducer checked is the iterated leftmost deletion of
+`reduce._deletion_index`, which `canonical_form` computes word by word
+and the certification computes for the whole universe in one walk over
+the canonical prefixes.
 """
 
 from __future__ import annotations
@@ -18,9 +22,8 @@ from itertools import accumulate, product, repeat
 from typing import Iterable, Iterator
 
 from . import reduce
-from .reduce import canonical_form
 from .reports import BoundReport
-from .words import Word, _first_owed, _guard, _letter_masks
+from .words import _first_owed, _guard, _letter_masks
 
 __all__ = [
     "CongruenceClass",
@@ -54,17 +57,10 @@ def _layout(n: int, max_len: int) -> tuple[list[int], list[int]]:
 
 
 def _universe(n: int, max_len: int) -> Iterator[tuple[int, ...]]:
-    # all words of length <= max_len, in index order
+    # all words of length <= max_len, in index order; rank 0 has only the empty one
     alphabet = range(1, n + 1)
-    for ell in range(max_len + 1):
+    for ell in range(max_len + 1 if n else 1):
         yield from product(alphabet, repeat=ell)
-
-
-def _index(w: tuple[int, ...], n: int, offset: list[int]) -> int:
-    value = 0
-    for x in w:
-        value = value * n + x - 1
-    return offset[len(w)] + value
 
 
 def _word(i: int, n: int, offset: list[int]) -> tuple[int, ...]:
@@ -105,7 +101,7 @@ def _closure(n: int, max_len: int, listed: bool = False) -> list[int]:
     instance starting before s.  No rewrite lengthens a word, so by
     induction on (length, start) the merged links join w and w' within
     the cap.  Heads run out past length 1 at rank 1 and 2 at rank 2, and
-    the positions past them are not visited.
+    the positions past them are not visited; rank 0 has no word to link.
 
     Instances are merged in order of their last position e, x x before
     a b a, so at each length every instance merged before a run ends inside
@@ -119,8 +115,10 @@ def _closure(n: int, max_len: int, listed: bool = False) -> list[int]:
     if max_len < 0:
         raise ValueError(f"length cap must be nonnegative, got {max_len}")
     what = f"congruence closure over rank {n}, length <= {max_len}"
-    # its longest words number at least 2^(b * max_len), b = (n // 2).bit_length()
+    # its longest words number at least 2^(b * max_len), b = (n // 2).bit_length(),
+    # and its layout holds max_len + 1 powers, the larger weight at ranks 0 and 1
     _guard(1, what, (n // 2).bit_length() * max_len)
+    _guard(max_len + 1, what)
     if listed:  # the caller holds every word as a tuple: the sum of l * n^l letters over l <= max_len
         d = n - 1
         _guard(((max_len * d - 1) * n ** (max_len + 1) + n) // d**2 if d else max_len * (max_len + 1) // 2, what)
@@ -160,7 +158,7 @@ def _closure(n: int, max_len: int, listed: bool = False) -> list[int]:
                 yield shorter + ((head * n + a) * n + b) * run, src
                 yield src, src + (b - a) * swap * run
 
-    for ell in range(2, max_len + 1):
+    for ell in range(2, max_len + 1 if n else 0):
         here, shorter = offset[ell], offset[ell - 1]
         parent += range(here, offset[ell + 1])
         for e in range(1, min(ell - 1, len(heads) + 2)):
@@ -208,8 +206,8 @@ class OracleCertification:
     """Full outcome of checking the reducer against the congruence oracle.
 
     universe counts the words of the closure the classes were read from,
-    reduced_directly the words put through `canonical_form` (all words of
-    length <= max_len), and reduced_by_memo the longer class members whose
+    reduced_directly the words of length <= max_len that the walk reduced
+    (all of them), and reduced_by_memo the longer class members whose
     memoized reduction was compared.  The counts come last, with defaults,
     so the first seven fields still construct positionally.
     """
@@ -237,15 +235,16 @@ def _canonical_by_class(root: list[int], kept: int, red: list[int]) -> dict[int,
     return by_class
 
 
-def _reduce_past(n: int, max_len: int, red: list[int]) -> None:
-    """Extend red over the words of length max_len + 1 and + 2, one step per run."""
+def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
+    """Extend red, which holds the words shorter than first, over the words
+    of length first..last, one step per run."""
     step = reduce._deletion_index  # the reducer's own lookup, patched or not
     masks = _letter_masks(n)
-    power, offset = _layout(n, max_len + 2)
+    power, offset = _layout(n, last)
     def cut(value: int, r: int) -> int:  # value less its digit of place r
         return value // (r * n) * r + value % r
 
-    for ell in (max_len + 1, max_len + 2):
+    for ell in range(first, last + 1):
         here, shorter = offset[ell], offset[ell - 1]
         red.extend(repeat(0, power[ell]))
         stack = [((), 0, 0, 0)]  # canonical prefixes: letters, value, ns, ng
@@ -274,33 +273,33 @@ def _reduce_past(n: int, max_len: int, red: list[int]) -> None:
 def certify_reducer(n: int, max_len: int) -> OracleCertification:
     """Run the oracle and check the reducer against every class.
 
-    `canonical_form` reduces every word of length <= max_len; a word is
-    canonical when it comes back unchanged, as any deletion shortens it.
-    The reducer's own deletion step runs only on the words past the cap.
+    A word reduces to what the word left by its first deletion reduces
+    to, read from a memo over every word of length <= max_len: the
+    iterated leftmost deletion that `canonical_form` performs.  A word is
+    canonical when it reduces to itself, as any deletion shortens it.
+    `_reduce_walk` fills the memo stepping once per canonical word and
+    once per run of words sharing a canonical prefix through where the
+    step stops, so the step must depend on nothing past that point; a
+    step that deletes past it sends its run word by word.
 
     A class without a canonical member means the cap truncated a
     derivation: two short words can be congruent only through longer
-    intermediates.  The check then retries once with the cap raised by 2
-    and examines the classes containing a word of length <= max_len,
-    i.e. the congruence restricted to the original universe.  A longer
-    word reduces to what the word left by its first deletion reduces to,
-    read from a memo: the iterated leftmost deletion that `canonical_form`
-    performs.  `_reduce_past` fills it stepping once per canonical word
-    and once per run of words sharing a canonical prefix through where
-    the step stops, so the step must depend on nothing past that point;
-    a step that deletes past it sends its run word by word.
+    intermediates.  The check then retries once with the cap raised by 2,
+    extends the memo to the longer words and examines the classes
+    containing a word of length <= max_len, i.e. the congruence
+    restricted to the original universe.
     """
     root = _closure(n, max_len)
     kept = len(root)  # the words of length <= max_len come first in any universe
-    # shorter words come first, so a short word's index is the same under the retry's cap
+    # shorter words come first, so the retry's layout names every word of either universe
     offset = _layout(n, max_len + 2)[1]
-    # red[i]: the index of word i's reduction
-    red = [_index(canonical_form(Word(w, n)).word.letters, n, offset) for w in _universe(n, max_len)]
+    red = [0]  # red[i]: the index of word i's reduction; the empty word is its own
+    _reduce_walk(n, 1, max_len, red)
     by_class = _canonical_by_class(root, kept, red)
     retried = not all(by_class.values())
     if retried:
         root = _closure(n, max_len + 2)
-        _reduce_past(n, max_len, red)
+        _reduce_walk(n, max_len + 1, max_len + 2, red)
         by_class = _canonical_by_class(root, kept, red)
 
     target = {r: members[0] for r, members in by_class.items() if len(members) == 1}

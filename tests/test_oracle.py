@@ -4,14 +4,16 @@ and the word-by-word closure it replaced, kept here as references.
 The reference merges both sides of all four relation edges, sorts each
 class and the class list, and reduces every member with `canonical_form`;
 the oracle merges each relation instance from one side into index-ordered
-roots and reduces the words past the cap by memo.  `merge_closure` merges
-every instance, position by position, every run through the finds; the
-oracle merges only those whose head holds no instance, by their last
-position, links each run whose words are all still roots with one slice,
-and must leave the same roots.
-`reference_memo` puts every word past the cap through the reducer's step;
-the oracle steps once per run of words sharing a canonical prefix and an
-owed letter, and must fill the same memo.
+roots and reduces every word by memo.  `merge_closure` merges every
+instance, position by position, every run through the finds; the oracle
+merges only those whose head holds no instance, by their last position,
+links each run whose words are all still roots with one slice, and must
+leave the same roots.
+`reference_memo` puts every word through the reducer's step; the oracle
+steps once per run of words sharing a canonical prefix and an owed
+letter, and must fill the same memo.  The oracle never calls
+`canonical_form`, so `first_memo_mismatch` ties the memo to it word by
+word.
 """
 
 import json
@@ -159,13 +161,13 @@ def merge_closure(n: int, max_len: int) -> list[int]:
     return parent
 
 
-def reference_memo(n: int, max_len: int, red: list[int]) -> None:
-    # every word of length max_len + 1 and + 2 through the reducer's step, in
-    # index order: it reduces to what its first deletion leaves reduces to
+def reference_memo(n: int, first: int, last: int, red: list[int]) -> None:
+    # every word of length first..last through the reducer's step, in index
+    # order: it reduces to what its first deletion leaves reduces to
     step = reduce._deletion_index
     masks = words._letter_masks(n)
-    power, offset = oracle._layout(n, max_len + 2)
-    for ell in (max_len + 1, max_len + 2):
+    power, offset = oracle._layout(n, last)
+    for ell in range(first, last + 1):
         here, shorter = offset[ell], offset[ell - 1]
         for value, w in enumerate(product(range(1, n + 1), repeat=ell)):
             d = step(w, masks)
@@ -174,6 +176,16 @@ def reference_memo(n: int, max_len: int, red: list[int]) -> None:
             else:
                 r = power[ell - 1 - d]
                 red.append(red[shorter + value // (r * n) * r + value % r])
+
+
+def first_memo_mismatch(n: int, max_len: int, red: list[int]) -> tuple[int, ...] | None:
+    # the first word of length <= max_len whose memo entry is not its canonical form
+    offset = oracle._layout(n, max_len)[1]
+    assert len(red) == offset[-1]
+    for r, w in zip(red, oracle._universe(n, max_len)):
+        if oracle._word(r, n, offset) != canonical_form(Word(w, n)).word.letters:
+            return w
+    return None
 
 
 def reference_certify(n: int, max_len: int) -> OracleCertification:
@@ -366,17 +378,36 @@ FAULTS = {"first": lambda letters: 0, "none": lambda letters: None, "last": lamb
 MEMO_PAIRS = [*CERTIFY_PAIRS, (4, 6), (1, 0), (1, 5), (2, 0), (2, 1), (2, 5), (3, 0), (3, 2), (3, 3)]
 
 
+def walk_memo(n: int, max_len: int) -> list[int]:
+    # the memo as certify_reducer fills it when it retries
+    red = [0]
+    oracle._reduce_walk(n, 1, max_len, red)
+    oracle._reduce_walk(n, max_len + 1, max_len + 2, red)
+    return red
+
+
 @pytest.mark.parametrize("fault", [None, *FAULTS])
 @pytest.mark.parametrize("n,max_len", MEMO_PAIRS)
 def test_walk_fills_the_memo_word_for_word(n, max_len, fault, monkeypatch):
     if fault:
         _wrong_past(max_len, monkeypatch, FAULTS[fault])
-    offset = oracle._layout(n, max_len + 2)[1]
-    red = [oracle._index(canonical_form(Word(w, n)).word.letters, n, offset) for w in oracle._universe(n, max_len)]
-    expected = red.copy()
-    reference_memo(n, max_len, expected)
-    oracle._reduce_past(n, max_len, red)
-    assert red == expected
+    expected = [0]
+    reference_memo(n, 1, max_len + 2, expected)
+    assert walk_memo(n, max_len) == expected
+
+
+@pytest.mark.parametrize("n,max_len", MEMO_PAIRS)
+def test_walk_memo_is_canonical_form(n, max_len):
+    # the oracle certifies the memo, and canonical_form is what callers run
+    assert first_memo_mismatch(n, max_len + 2, walk_memo(n, max_len)) is None
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_faults_at_every_length_fail_the_certification(fault, monkeypatch):
+    # the walk now steps through the words up to the cap too
+    _wrong_past(0, monkeypatch, FAULTS[fault])
+    cert = certify_reducer(3, 4)
+    assert cert.violations and not cert.holds
 
 
 def test_memo_catches_a_deletion_past_the_shared_prefix(monkeypatch):
@@ -407,6 +438,53 @@ def test_memo_steps_once_per_run(n, max_len, calls, monkeypatch):
         return sum(n * c.get(e, 0) - c.get(e + 1, 0) for e in range(ell)) + c.get(ell, 0)
 
     assert sum(long) == runs(max_len + 1) + runs(max_len + 2) == calls
+
+
+# the certify pairs with the step calls their walk makes, retried or not
+STEP_CALLS = [(3, 4, 140), (3, 5, 177), (4, 4, 720), (5, 4, 3330), (2, 7, 36), (5, 3, 135), (6, 3, 228), (3, 7, 251)]
+
+
+@pytest.mark.parametrize("n,max_len,calls", STEP_CALLS)
+def test_walk_steps_once_per_run_at_every_length(n, max_len, calls, monkeypatch):
+    # every length from 1 to the cap, and to the cap + 2 on a retry, takes
+    # the runs of test_memo_steps_once_per_run's formula and no other step
+    step = reduce._deletion_index
+    lengths = []
+
+    def counted(letters, masks):
+        lengths.append(len(letters))
+        return step(letters, masks)
+
+    monkeypatch.setattr(reduce, "_deletion_index", counted)
+    cert = certify_reducer(n, max_len)
+    assert cert.holds
+    c = count(n).by_length
+
+    def runs(ell):
+        return sum(n * c.get(e, 0) - c.get(e + 1, 0) for e in range(ell)) + c.get(ell, 0)
+
+    last = max_len + 2 if cert.retried else max_len
+    assert [lengths.count(ell) for ell in range(1, last + 1)] == [runs(ell) for ell in range(1, last + 1)]
+    assert len(lengths) == calls
+
+
+def test_rank_zero_cap_is_weighed():
+    # one word at every cap, but the layout holds cap + 1 powers
+    start = time.perf_counter()
+    classes = congruence_closure(0, 10**5)
+    assert [c.members for c in classes] == [((),)]
+    with pytest.raises(ResourceGuardError, match="length <= 10000000 refused: 10000001 items"):
+        oracle._closure(0, 10**7)
+    assert time.perf_counter() - start < 1
+
+
+def test_rank_one_certification_steps_once_per_length():
+    # one step per length, each on a word that long; canonical_form on every
+    # "1"·k, a deletion and a rescan per letter, takes 15 s at cap 2000
+    start = time.perf_counter()
+    cert = certify_reducer(1, 20_000)
+    assert cert.holds and cert.classes == 2
+    assert time.perf_counter() - start < 5
 
 
 def test_long_cap_is_refused_before_its_powers(monkeypatch):
@@ -448,20 +526,6 @@ def test_memo_catches_canonical_claims_past_the_cap(monkeypatch):
     multiple = [v for v in cert.violations if v["kind"] == "multiple_canonical_members"]
     assert multiple and not cert.holds
     assert all(any(len(w.split()) > 4 for w in v["canonical"]) for v in multiple)
-
-
-@pytest.mark.parametrize("n,max_len", [(2, 7), (3, 4)])
-def test_canonical_form_once_per_short_word(n, max_len, monkeypatch):
-    seen = []
-
-    def counted(word):
-        seen.append(word.letters)
-        return canonical_form(word)
-
-    monkeypatch.setattr(oracle, "canonical_form", counted)
-    assert certify_reducer(n, max_len).holds
-    short = [w for ell in range(max_len + 1) for w in product(range(1, n + 1), repeat=ell)]
-    assert seen == short
 
 
 def test_certification_counts():
