@@ -4,7 +4,7 @@ The semigroup K_n is generated by letters 1..n subject to aa = a and
 aba = bab = ab whenever a < b.  This package reduces words to their
 unique canonical forms, multiplies elements, enumerates and counts all
 canonical words per rank, and certifies the growth bounds and structure
-results with exact integer and rational arithmetic.
+results with exact integer arithmetic.
 
 Importing the package loads no submodule: each public name, and each
 submodule, is imported on first access (PEP 562), so a CLI command loads

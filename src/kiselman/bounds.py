@@ -1,16 +1,16 @@
 """Exact evaluation of growth bounds and combinatorial identities.
 
-Every holds/fails decision is an integer or rational comparison, and
-the printed scaled logarithms are computed with integers and rounded
-down.  Where a bound involves pi in a denominator, pi is replaced by the
-larger rational 355/113, which makes the checked inequality strictly
-stronger than the original.  Logarithms are base 2 throughout.
+Every holds/fails decision is an integer comparison, and the printed
+scaled logarithms are computed with integers and rounded down.  Where a
+bound involves pi in a denominator, pi is replaced by the larger 355/113,
+which makes the checked inequality strictly stronger than the original,
+and both sides are multiplied by 113 (or 113^2) to clear the denominator.
+Logarithms are base 2 throughout.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .reports import BoundReport
 from .words import _guard, length_bound
@@ -32,7 +32,7 @@ __all__ = [
     "limit_report",
 ]
 
-PI_UPPER = Fraction(355, 113)  # pi < 355/113, so bounds checked with it are stronger
+PI_UPPER = (355, 113)  # pi < 355/113, so bounds checked with it are stronger
 
 
 def _weigh(bits: int, shift: int, what: str) -> None:
@@ -110,10 +110,10 @@ def multinomial_identity_check(k: int) -> BoundReport:
 
 
 def binomial_lemma_check(N: int, part: int) -> BoundReport:
-    """Certify one of the three binomial estimates in cleared rational form.
+    """Certify one of the three binomial estimates in cleared integer form.
 
-    Part 1: C(2N,N)^2 * N * (355/113) <= 2^(4N)
-    Part 2: C(4N,N)^2 * C(3N,N)^2 * N^2 * 2 * (355/113)^2 <= 2^(12N)
+    Part 1: 355 * N * C(2N,N)^2 <= 113 * 2^(4N)
+    Part 2: 2 * 355^2 * N^2 * C(4N,N)^2 * C(3N,N)^2 <= 113^2 * 2^(12N)
     Part 3: C(3N,N) * 4^N <= 27^N
     Parts 1 and 2 are the squared, pi-cleared forms of estimates whose
     right sides carry sqrt(pi N) and pi N sqrt(2); replacing pi by the
@@ -121,21 +121,19 @@ def binomial_lemma_check(N: int, part: int) -> BoundReport:
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    _weigh(12 * N, 0, f"binomial estimates at N = {N}")  # 2^(12N), part 2's side, is the largest
-    lhs: Fraction | int
-    rhs: Fraction | int
+    _weigh(12 * N, 0, f"binomial estimates at N = {N}")  # part 2's 113^2 * 2^(12N), about 12N bits, is the largest
+    p, q = PI_UPPER
     if part == 1:
-        lhs = Fraction(math.comb(2 * N, N) ** 2 * N) * PI_UPPER
-        rhs = Fraction(2 ** (4 * N))
+        lhs, rhs = p * N * math.comb(2 * N, N) ** 2, q * 2 ** (4 * N)
     elif part == 2:
-        lhs = Fraction(math.comb(4 * N, N) ** 2 * math.comb(3 * N, N) ** 2 * N**2 * 2) * PI_UPPER**2
-        rhs = Fraction(2 ** (12 * N))
+        lhs = 2 * p**2 * N**2 * math.comb(4 * N, N) ** 2 * math.comb(3 * N, N) ** 2
+        rhs = q**2 * 2 ** (12 * N)
     elif part == 3:
         lhs = math.comb(3 * N, N) * 4**N
         rhs = 27**N
     else:
         raise ValueError(f"part must be 1, 2 or 3, got {part}")
-    note = "pi replaced by 355/113 (stronger)" if part in (1, 2) else "pure integers"
+    note = f"pi replaced by 355/113 (stronger), both sides times {q**part}" if part in (1, 2) else "pure integers"
     return BoundReport.at_most(f"binomial-estimate-part-{part}", N, lhs, rhs, note)
 
 

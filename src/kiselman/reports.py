@@ -6,21 +6,18 @@ with rhs (direction and meaning recorded in the name), built by
 which derive `holds` from those values.  Only compound verdicts use the
 plain constructor: the census structure checks, the oracle certification,
 the rank-4 counterexample and the always-holding printed-closed-form WARN.
-Values are `int` or `Fraction`, and emitting any other raises TypeError;
-big ones are serialized as decimal strings so downstream consumers are
-never exposed to 64-bit overflow; rationals as "numerator/denominator".
+Values are `int`, and emitting any other raises TypeError; they are
+serialized as decimal strings so downstream consumers are never exposed
+to 64-bit overflow.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 __all__ = ["BoundReport", "reports_to_json", "reports_to_csv", "format_value"]
-
-Value = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -29,18 +26,18 @@ class BoundReport:
 
     name: str
     n_or_k: int
-    lhs: Value
-    rhs: Value
+    lhs: int
+    rhs: int
     holds: bool
     note: str = ""
 
     @classmethod
-    def at_most(cls, name: str, n_or_k: int, lhs: Value, rhs: Value, note: str = "") -> BoundReport:
+    def at_most(cls, name: str, n_or_k: int, lhs: int, rhs: int, note: str = "") -> BoundReport:
         """The check lhs <= rhs, holding exactly when it does."""
         return cls(name, n_or_k, lhs, rhs, lhs <= rhs, note)
 
     @classmethod
-    def equal(cls, name: str, n_or_k: int, lhs: Value, rhs: Value, note: str = "") -> BoundReport:
+    def equal(cls, name: str, n_or_k: int, lhs: int, rhs: int, note: str = "") -> BoundReport:
         """The check lhs == rhs, holding exactly when it does."""
         return cls(name, n_or_k, lhs, rhs, lhs == rhs, note)
 
@@ -55,14 +52,10 @@ class BoundReport:
         }
 
 
-def format_value(value: Value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("bool is not a report value")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    raise TypeError(f"unsupported report value type: {type(value)!r}")
+def format_value(value: int) -> str:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"unsupported report value type: {type(value)!r}")
+    return str(value)
 
 
 def reports_to_json(reports: Iterable[BoundReport]) -> str:

@@ -61,7 +61,7 @@ def bounds_suite(max_n: int = 6) -> list[BoundReport]:
 
 
 def identities_suite(max_n: int = 6) -> list[BoundReport]:
-    """Exact combinatorial identities and rational-form binomial estimates."""
+    """Exact combinatorial identities and integer-form binomial estimates."""
     # rank n's multiset row holds about n^2/4 bits, n^2/256 64-bit words; summed over n <= max_n
     _guard(max_n * (max_n + 1) * (2 * max_n + 1) // 1536, f"multiset rows up to rank {max_n}")
     reports = []

@@ -129,7 +129,7 @@ def test_criterion_07_binomial_lemma(capsys):
         for N in range(1, 65)
         for part in (1, 2, 3)
     )
-    _line(capsys, 7, ok, "all three binomial estimates exact-rational for N = 1..64")
+    _line(capsys, 7, ok, "all three binomial estimates as exact integer inequalities for N = 1..64")
 
 
 def test_criterion_08_longest_word_structure(capsys):

@@ -86,8 +86,7 @@ def test_binomial_lemma_all_parts():
 
 def test_binomial_lemma_exact_rational():
     report = binomial_lemma_check(1, 1)
-    assert report.lhs == Fraction(4) * PI_UPPER == Fraction(1420, 113)
-    assert report.rhs == 16
+    assert (report.lhs, report.rhs) == (4 * 355, 113 * 16) == (1420, 1808)
     report = binomial_lemma_check(2, 3)
     assert report.lhs == 15 * 16 and report.rhs == 27**2
 
@@ -161,7 +160,21 @@ def test_maximal_multiset_weighs_its_row(monkeypatch):
 
 
 def test_pi_upper_is_upper():
-    assert PI_UPPER > Fraction(math.pi)
+    assert Fraction(*PI_UPPER) > math.pi
+
+
+def test_binomial_sides_are_the_rational_ones_cleared():
+    # the sides as exact rationals with pi replaced by 355/113, times 113 for part 1 and 113^2 for part 2
+    pi = Fraction(355, 113)
+    for N in range(1, 65):
+        rational = {
+            1: (Fraction(math.comb(2 * N, N) ** 2 * N) * pi, Fraction(2 ** (4 * N))),
+            2: (Fraction(math.comb(4 * N, N) ** 2 * math.comb(3 * N, N) ** 2 * N**2 * 2) * pi**2, Fraction(2 ** (12 * N))),
+        }
+        for part, sides in rational.items():
+            report = binomial_lemma_check(N, part)
+            assert (report.lhs, report.rhs) == tuple(113**part * side for side in sides)
+            assert type(report.lhs) is type(report.rhs) is int
 
 
 def test_even_upper_bound():

@@ -312,6 +312,18 @@ def test_each_command_imports_only_what_it_runs(argv, loaded):
     assert proc.stdout.splitlines()[-1:] == [loaded], proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--rank", "3"], ["table", "--max-n", "2"], ["verify", "--suite", "identities", "--max-n", "2"]],
+    ids=["count", "table", "verify-identities"],
+)
+def test_commands_leave_fractions_unloaded(argv):
+    # every report value is an int, so no command needs fractions (nor the decimal it imports)
+    code = "import sys\nfrom kiselman.cli import main\nmain(sys.argv[1:])\nprint('fractions' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_package_env())
+    assert proc.stdout.splitlines()[-1:] == ["False"], proc.stderr
+
+
 SUBMODULES = ("words", "reduce", "census", "oracle", "verify", "bounds", "reports", "cli")
 
 

@@ -1,8 +1,9 @@
-"""The package computes with integers and fractions only.
+"""The package computes with integers only.
 
 Every source file of `kiselman` is parsed, and any float literal, true
-division `/`, the name `float`, or a `math` logarithm, square root or
-exponential is reported by file and line.
+division `/`, the name `float`, a `math` logarithm, square root or
+exponential, an import of `fractions` or the name `Fraction` is reported
+by file and line.
 """
 
 import ast
@@ -20,8 +21,12 @@ def _float_uses(source: str) -> list[tuple[int, str]]:
             found.append((node.lineno, f"float literal {node.value!r}"))
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             found.append((node.lineno, "true division /"))
-        elif isinstance(node, ast.Name) and node.id == "float":
-            found.append((node.lineno, "the name float"))
+        elif isinstance(node, ast.Name) and node.id in ("float", "Fraction"):
+            found.append((node.lineno, f"the name {node.id}"))
+        elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            found.append((node.lineno, "import fractions"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append((node.lineno, "from fractions import"))
         elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
@@ -45,9 +50,12 @@ def test_float_uses_are_found():
             "c = float(a)",
             "d = math.log2(a) + math.sqrt(a) + math.exp(a)",
             "e = a // 2 + math.isqrt(4) + math.comb(4, 2)",
+            "import os, fractions",
+            "from fractions import Fraction as F",
+            "f = Fraction(1, 3)",
         ]
     )
-    assert [line for line, _ in _float_uses(sample)] == [2, 3, 4, 5, 6, 7, 7, 7]
+    assert [line for line, _ in _float_uses(sample)] == [2, 3, 4, 5, 6, 7, 7, 7, 9, 10, 11]
 
 
 def test_package_has_no_float():

@@ -8,8 +8,7 @@ from kiselman.reports import BoundReport, format_value, reports_to_csv, reports_
 
 def test_format_value():
     assert format_value(12345678901234567890) == "12345678901234567890"
-    assert format_value(Fraction(355, 113)) == "355/113"
-    for value in (True, 1.5, None, "18"):
+    for value in (True, 1.5, None, "18", Fraction(355, 113), Fraction(4, 1)):
         with pytest.raises(TypeError):
             format_value(value)
 
@@ -32,7 +31,7 @@ def test_json_emission():
 def test_json_roundtrip_is_byte_identical():
     reports = [
         BoundReport("a", 1, 4, 10, True),
-        BoundReport("b", 2, Fraction(1, 3), 1, True, "rational"),
+        BoundReport("b", 2, 10**40, 1, False, "big"),
     ]
     text = reports_to_json(reports)
     rebuilt = json.dumps(json.loads(text), indent=2) + "\n"
@@ -92,13 +91,13 @@ def test_equal(lhs, rhs, holds):
 def test_built_reports_emit_as_plain_ones():
     built = [
         BoundReport.at_most("le", 1, 2**70, 2**71, "big"),
-        BoundReport.at_most("gt", 2, Fraction(7, 2), 3, 'a "quoted", note'),
+        BoundReport.at_most("gt", 2, 4, 3, 'a "quoted", note'),
         BoundReport.equal("eq", 3, 115, 115),
         BoundReport.equal("ne", 4, 1710, 1711, "off by one"),
     ]
     plain = [
         BoundReport("le", 1, 2**70, 2**71, True, "big"),
-        BoundReport("gt", 2, Fraction(7, 2), 3, False, 'a "quoted", note'),
+        BoundReport("gt", 2, 4, 3, False, 'a "quoted", note'),
         BoundReport("eq", 3, 115, 115, True),
         BoundReport("ne", 4, 1710, 1711, False, "off by one"),
     ]
@@ -106,7 +105,7 @@ def test_built_reports_emit_as_plain_ones():
     assert reports_to_csv(built) == reports_to_csv(plain)
     assert reports_to_csv(built).splitlines()[1:] == [
         f'le,1,{2**70},{2**71},true,"big"',
-        'gt,2,7/2,3,false,"a ""quoted"", note"',
+        'gt,2,4,3,false,"a ""quoted"", note"',
         "eq,3,115,115,true,",
         'ne,4,1710,1711,false,"off by one"',
     ]
