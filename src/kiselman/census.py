@@ -9,13 +9,13 @@ O(1) state updates per appended letter.
 
 Two prefixes in the same state have the same canonical extensions, so
 `count` memoizes each state's extension counts by length, packed into one
-integer (the transfer-matrix method), and lists no word.  `longest_census`
-reads the states on maximal paths from the same table and builds their
-maximal suffixes depth by depth, from the last letter back.
-Two independent censuses cross-check it: `iter_canonical`, a depth-first
-walk over every canonical word, and `filtered_recount`, a breadth-first
-extend-and-filter recount over whole length levels, driven directly by
-the defining gap condition.
+integer (the transfer-matrix method), and lists no word; a state is one
+integer, ns << n | ng.  `longest_census` joins the maximal prefixes of
+half the maximal length with the maximal suffixes of their states, built
+backward from the last letter.  Two independent censuses cross-check it:
+`iter_canonical`, a depth-first walk over every canonical word, and
+`filtered_recount`, a breadth-first extend-and-filter recount over whole
+length levels, driven directly by the defining gap condition.
 """
 
 from __future__ import annotations
@@ -75,37 +75,40 @@ class LongestCensus:
         return self.max_length == length_bound(self.rank)
 
 
-def _extension_table(n: int) -> tuple[dict[tuple[int, int], int], int]:
+def _extension_table(n: int) -> tuple[dict[int, int], int, list[tuple[int, int, int]]]:
     """Extension counts by length for every state reachable from the empty word.
 
-    Returns the table and its slot width.  A state's value packs one slot per
-    length, slot l counting the canonical words of length l that may follow
-    any prefix in that state: 1 + (sum of the children's values << slot).
-    The top slot is never zero, so (value.bit_length() - 1) // slot is the
-    longest extension.  The guard weighs the counts the table can hold, n *
-    2^(n-1) + 1 states times L(n) + 1 lengths; a negative rank is a ValueError.
+    Returns the table, keyed by the state packed as s = ns << n | ng, its slot
+    width, and each letter's (bit, keep, mark) on s from `_letter_masks`: the
+    letter is blocked when ((s >> n) | s) & bit, else it steps to (s & keep) | mark.
+    A state's value packs one slot per length, slot l counting the canonical
+    words of length l that may follow any prefix in that state: 1 + (sum of the
+    children's values << slot).  The top slot is never zero, so
+    (value.bit_length() - 1) // slot is the longest extension.  The guard weighs
+    the counts the table can hold, n * 2^(n-1) + 1 states times L(n) + 1
+    lengths; a negative rank is a ValueError.
     """
     masks = _letter_masks(n)  # first: its guard, which BUDGET lifts, refuses ranks whose L(n) won't fit
     _guard((length_bound(n) + 1) * (n * 2**n // 2 + 1), f"rank {n} census table")
     # a count is at most |K_n|, under the paper's prefix bound, so no slot carries:
     # the width leans on that bound as L(n) does; tests check it on allowed ranks
     slot = prefix_upper_bound(n).bit_length() + 1 if n else 2
-    table: dict[tuple[int, int], int] = {}
+    full, table = (1 << n) - 1, {}
+    steps = [(bit, (keep_ns & full) << n | keep_ng & full, bit << n | bit) for bit, keep_ns, keep_ng in masks]
 
-    def extensions(ns: int, ng: int) -> int:
-        found = table.get((ns, ng))
-        if found is None:
-            blocked = ns | ng
-            below = 0
-            for bit, keep_ns, keep_ng in masks:
-                if not (blocked & bit):
-                    below += extensions((ns & keep_ns) | bit, (ng & keep_ng) | bit)
-            found = table[ns, ng] = 1 + (below << slot)
+    def extensions(s: int) -> int:
+        blocked, below = (s >> n) | s, 0
+        for bit, keep, mark in steps:
+            if not blocked & bit:
+                child = (s & keep) | mark
+                # every value is at least 1, so only a state not yet tabulated is entered
+                below += table.get(child) or extensions(child)
+        found = table[s] = 1 + (below << slot)
         return found
 
-    extensions(0, 0)
+    extensions(0)
     del extensions  # a self-referring closure would keep the table until a gc pass
-    return table, slot
+    return table, slot, steps
 
 
 def iter_canonical(n: int) -> Iterator[tuple[int, ...]]:
@@ -136,8 +139,8 @@ def count(n: int) -> Census:
     cost follows the n * 2^(n-1) + 1 reachable states times the length
     bound rather than the number of words.
     """
-    table, slot = _extension_table(n)
-    packed, mask = table[0, 0], (1 << slot) - 1
+    table, slot, _ = _extension_table(n)
+    packed, mask = table[0], (1 << slot) - 1
     by_len = [(packed >> (l * slot)) & mask for l in range((packed.bit_length() - 1) // slot + 1)]
     return Census(
         rank=n,
@@ -189,37 +192,38 @@ def filtered_recount(n: int) -> Census:
 def longest_census(n: int) -> LongestCensus:
     """All canonical words of maximal length, in lexicographic order.
 
-    A forward pass lists, depth by depth, the states on maximal paths with
-    their children on such paths in increasing letter order; a backward
-    pass builds each state's maximal suffixes from those of the depth below.
+    Lists the maximal prefixes of half the maximal length forward, and the
+    maximal suffixes of their states backward, children in increasing letter
+    order, and joins each prefix with its state's suffixes: sorted, as built.
     """
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
-    table, slot = _extension_table(n)
-    best = (table[0, 0].bit_length() - 1) // slot
-    # two depths' suffixes are held, each depth's extending distinct maximal
-    # prefixes, so at most twice the top coefficient's words of `best` letters
-    _guard(2 * (table[0, 0] >> (best * slot)) * best, f"rank {n} maximal-word listing")
-    masks = _letter_masks(n)
-    levels, frontier = [], {(0, 0)}
+    table, slot, steps = _extension_table(n)
+    best = (table[0].bit_length() - 1) // slot
+    # at most f = top coefficient heads, and per depth of tails at most f suffixes,
+    # since a prefix fixes its state: heads, two depths of tails or one with the
+    # output hold at most f * (half + (best - half) + best) = 2 * f * best letters
+    _guard(2 * (table[0] >> (best * slot)) * best, f"rank {n} maximal-word listing")
+    # state -> ((letter,), child) for its children on maximal paths, in increasing letter
+    # order; a state's longest extension fixes its depth, so the depths share no state
+    kids, depths = {}, [{0}]
     for left in range(best - 1, -1, -1):
-        # state -> [((letter,), child)] for its children whose longest extension is `left`
-        level = {}
-        for ns, ng in frontier:
-            blocked, children = ns | ng, []
-            for x, (bit, keep_ns, keep_ng) in enumerate(masks, 1):
-                if not (blocked & bit):
-                    child = ((ns & keep_ns) | bit, (ng & keep_ng) | bit)
-                    if (table[child].bit_length() - 1) // slot == left:
-                        children.append(((x,), child))
-            level[ns, ng] = children
-        levels.append(level)
-        frontier = {child for children in level.values() for _, child in children}
-    suffixes = dict.fromkeys(frontier, [()])
-    for level in reversed(levels):
-        suffixes = {s: [x + t for x, child in kids for t in suffixes[child]] for s, kids in level.items()}
-    words = suffixes[0, 0]
-    return LongestCensus(rank=n, max_length=best, count=len(words), words=tuple(words))
+        for s in depths[-1]:
+            blocked = (s >> n) | s
+            kids[s] = [
+                ((x,), child)
+                for x, (bit, keep, mark) in enumerate(steps, 1)
+                if not blocked & bit and (table[child := (s & keep) | mark].bit_length() - 1) // slot == left
+            ]
+        depths.append({child for s in depths[-1] for _, child in kids[s]})
+    heads = [((), 0)]
+    for _ in range(best // 2):
+        heads = [(p + x, child) for p, s in heads for x, child in kids[s]]
+    tails = dict.fromkeys(depths.pop(), [()])
+    for states in reversed(depths[best // 2 :]):
+        tails = {s: [x + t for x, child in kids[s] for t in tails[child]] for s in states}
+    words = tuple(p + t for p, s in heads for t in tails[s])
+    return LongestCensus(rank=n, max_length=best, count=len(words), words=words)
 
 
 def verify_odd_structure(n: int) -> BoundReport:

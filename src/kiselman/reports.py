@@ -6,9 +6,9 @@ with rhs (direction and meaning recorded in the name), built by
 which derive `holds` from those values.  Only compound verdicts use the
 plain constructor: the census structure checks, the oracle certification,
 the rank-4 counterexample and the always-holding printed-closed-form WARN.
-Values are `int`, and emitting any other raises TypeError; they are
-serialized as decimal strings so downstream consumers are never exposed
-to 64-bit overflow.
+Values are `int`: `at_most`, `equal` and emission raise TypeError on any
+other.  They are serialized as decimal strings, so downstream consumers
+are never exposed to 64-bit overflow.
 """
 
 from __future__ import annotations
@@ -33,13 +33,13 @@ class BoundReport:
 
     @classmethod
     def at_most(cls, name: str, n_or_k: int, lhs: int, rhs: int, note: str = "") -> BoundReport:
-        """The check lhs <= rhs, holding exactly when it does."""
-        return cls(name, n_or_k, lhs, rhs, lhs <= rhs, note)
+        """The check lhs <= rhs, holding exactly when it does; a value that is no int is a TypeError."""
+        return cls(name, n_or_k, lhs, rhs, _int_value(lhs) <= _int_value(rhs), note)
 
     @classmethod
     def equal(cls, name: str, n_or_k: int, lhs: int, rhs: int, note: str = "") -> BoundReport:
-        """The check lhs == rhs, holding exactly when it does."""
-        return cls(name, n_or_k, lhs, rhs, lhs == rhs, note)
+        """The check lhs == rhs, holding exactly when it does; a value that is no int is a TypeError."""
+        return cls(name, n_or_k, lhs, rhs, _int_value(lhs) == _int_value(rhs), note)
 
     def to_json_dict(self) -> dict:
         return {
@@ -52,10 +52,14 @@ class BoundReport:
         }
 
 
-def format_value(value: int) -> str:
+def _int_value(value: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"unsupported report value type: {type(value)!r}")
-    return str(value)
+    return value
+
+
+def format_value(value: int) -> str:
+    return str(_int_value(value))
 
 
 def reports_to_json(reports: Iterable[BoundReport]) -> str:

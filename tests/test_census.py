@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -103,21 +104,24 @@ def test_complement_symmetry():
         assert {tuple(n + 1 - x for x in w) for w in words} == words
 
 
-def _forward_by_length(n):
+def _forward_levels(n):
     # second formulation of the census DP: breadth-first over
-    # state -> number-of-prefixes maps, one map per length
+    # (ns, ng) -> number-of-prefixes maps, one map per length; it keys
+    # states by tuple, apart from the packing of the census table
     masks = _letter_masks(n)
     level = {(0, 0): 1}
-    by_length = {}
     while level:
-        by_length[len(by_length)] = sum(level.values())
+        yield level
         nxt = Counter()
         for (ns, ng), c in level.items():
             for bit, keep_ns, keep_ng in masks:
                 if not (ns | ng) & bit:
                     nxt[(ns & keep_ns) | bit, (ng & keep_ng) | bit] += c
         level = nxt
-    return by_length
+
+
+def _forward_by_length(n):
+    return {length: sum(level.values()) for length, level in enumerate(_forward_levels(n))}
 
 
 def test_dp_matches_walk_and_recount():
@@ -143,6 +147,13 @@ def test_dp_matches_forward_formulation():
 def test_reachable_state_count():
     for n in range(1, 11):
         assert len(_extension_table(n)[0]) == n * 2 ** (n - 1) + 1, n
+
+
+def test_table_keys_unpack_to_the_reachable_states():
+    # a key packs ns << n | ng; unpacked, the keys are the states the tuple-keyed formulation reaches
+    for n in range(11):
+        unpacked = {(s >> n, s & (2**n - 1)) for s in _extension_table(n)[0]}
+        assert unpacked == {state for level in _forward_levels(n) for state in level}, n
 
 
 def test_slot_width_holds_every_count():
@@ -357,12 +368,26 @@ def test_transition_table_guard_reads_the_budget_at_call_time(monkeypatch):
 
 
 def test_maximal_word_listing_weighs_two_depths(monkeypatch):
-    # the listing holds its output and the depth below it: 2 * 32 768 words of 46 letters
+    # at most 32 768 heads of 23 letters, tails of 23 letters and words of 46 letters,
+    # held by the heads with two depths of tails or with one and the output: 2 * 32 768 * 46
     monkeypatch.setattr("kiselman.words.BUDGET", 2 * 32768 * 46 - 1)
     with pytest.raises(ResourceGuardError, match="rank 9 maximal-word listing"):
         longest_census(9)
     monkeypatch.setattr("kiselman.words.BUDGET", 2 * 32768 * 46)
     assert longest_census(9).count == 32768
+
+
+def test_maximal_word_listing_holds_little_beyond_its_result():
+    # the heads and tails are small beside the 32 768 words of 46 letters the result keeps
+    _letter_masks(9)  # the cached transition table, which stays, is drawn outside the trace
+    tracemalloc.start()
+    try:
+        result = longest_census(9)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.count == 32768
+    assert peak <= 1.25 * held, (peak, held)
 
 
 def test_small_listings_of_large_rank_allowed():

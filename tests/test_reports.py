@@ -63,9 +63,15 @@ def test_csv_emission():
         (Fraction(2, 3), Fraction(1, 2), False),
         (Fraction(2**71, 3), 2**70, True),
         (Fraction(2**71 + 3, 2), 2**70, False),
+        (1.5, 2, True),
     ],
 )
 def test_at_most(lhs, rhs, holds):
+    if {type(lhs), type(rhs)} != {int}:
+        # refused where the report is built, whatever its verdict would be
+        with pytest.raises(TypeError, match="unsupported report value type"):
+            BoundReport.at_most("cmp", 1, lhs, rhs, "note")
+        return
     report = BoundReport.at_most("cmp", 1, lhs, rhs, "note")
     assert report == BoundReport("cmp", 1, lhs, rhs, holds, "note")
     assert report.holds is holds
@@ -80,9 +86,14 @@ def test_at_most(lhs, rhs, holds):
         (2**70, 2**70 + 1, False),
         (Fraction(4, 2), 2, True),
         (Fraction(1, 3), Fraction(1, 2), False),
+        (True, 1, True),
     ],
 )
 def test_equal(lhs, rhs, holds):
+    if {type(lhs), type(rhs)} != {int}:
+        with pytest.raises(TypeError, match="unsupported report value type"):
+            BoundReport.equal("eq", 2, lhs, rhs)
+        return
     report = BoundReport.equal("eq", 2, lhs, rhs)
     assert report == BoundReport("eq", 2, lhs, rhs, holds)
     assert report.holds is holds
