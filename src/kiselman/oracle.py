@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, product, repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import reduce
 from .reports import BoundReport
@@ -33,8 +32,7 @@ __all__ = [
     "verify_reducer_against_oracle",
 ]
 
-@dataclass(frozen=True)
-class CongruenceClass:
+class CongruenceClass(NamedTuple):
     """One congruence class of bounded-length words, as raw letter tuples."""
 
     members: tuple[tuple[int, ...], ...]
@@ -201,8 +199,7 @@ def congruence_closure(n: int, max_len: int) -> list[CongruenceClass]:
     return [CongruenceClass(tuple(m), tuple(canonical[r])) for r, m in members.items()]
 
 
-@dataclass(frozen=True)
-class OracleCertification:
+class OracleCertification(NamedTuple):
     """Full outcome of checking the reducer against the congruence oracle.
 
     universe counts the words of the closure the classes were read from,

@@ -14,22 +14,20 @@ on all small ranks rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import Word, _first_owed, _letter_masks, _previous, is_canonical
+from .words import Word, _first_owed, _letter_masks, _previous, _Value, is_canonical
 
 __all__ = ["KElement", "delete_step", "canonical_form", "multiply", "identity", "generators"]
 
 
-@dataclass(frozen=True)
-class KElement:
+class KElement(_Value):
     """A semigroup element, represented by its canonical word."""
 
-    word: Word
+    __slots__ = ("word",)
 
-    def __post_init__(self) -> None:
-        if not is_canonical(self.word):
-            raise ValueError(f"not a canonical word: {self.word.to_text()!r}")
+    def __init__(self, word: Word) -> None:
+        if not is_canonical(word):
+            raise ValueError(f"not a canonical word: {word.to_text()!r}")
+        object.__setattr__(self, "word", word)
 
     @property
     def rank(self) -> int:

@@ -14,14 +14,12 @@ are never exposed to 64-bit overflow.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = ["BoundReport", "reports_to_json", "reports_to_csv", "format_value"]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one exact bound or identity check."""
 
     name: str

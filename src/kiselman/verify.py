@@ -8,7 +8,7 @@ printed closed form rather than the enumeration are reported with a
 
 from __future__ import annotations
 
-from . import SUITES, bounds, census
+from . import SUITES, bounds
 from .reports import BoundReport
 from .words import Word, _guard, is_canonical, length_bound
 
@@ -38,6 +38,7 @@ def bounds_suite(max_n: int = 6) -> list[BoundReport]:
     bound, both upper bounds, the even-rank cap, the doubling recursion
     and the parity-limit estimates.
     """
+    from . import census  # the two suites that run the census load it, so the others do not
     counts = {n: census.count(n).total for n in range(max_n + 1)}
     reports = []
     for n, c in counts.items():
@@ -77,7 +78,7 @@ def identities_suite(max_n: int = 6) -> list[BoundReport]:
     return reports
 
 
-def _counterexample_report(longest: census.LongestCensus) -> BoundReport:
+def _counterexample_report(max_length: int) -> BoundReport:
     word = Word(COUNTEREXAMPLE_WORD, 4)
     half = length_bound(2)
     middle = COUNTEREXAMPLE_WORD[half : half + 2]
@@ -85,14 +86,14 @@ def _counterexample_report(longest: census.LongestCensus) -> BoundReport:
     holds = (
         is_canonical(word)
         and len(word) == length_bound(4)
-        and len(word) == longest.max_length
+        and len(word) == max_length
         and not factors
     )
     return BoundReport(
         name="even-rank-counterexample-word",
         n_or_k=4,
         lhs=len(word),
-        rhs=longest.max_length,
+        rhs=max_length,
         holds=holds,
         note=f"word '{word}' is canonical and maximal but its middle pair is {middle}, not {{1, 4}}",
     )
@@ -100,6 +101,7 @@ def _counterexample_report(longest: census.LongestCensus) -> BoundReport:
 
 def structure_suite(max_n: int = 6) -> list[BoundReport]:
     """Longest-word structure: lengths, counts, factorization, embeddings."""
+    from . import census
     longest = {n: census.longest_census(n) for n in range(1, max_n + 1)}
     reports = [
         BoundReport.equal(
@@ -123,7 +125,7 @@ def structure_suite(max_n: int = 6) -> list[BoundReport]:
         name = "longest-count-vs-printed-closed-form"
         reports.append(BoundReport(name, n, enumerated, printed, holds=True, note=note))
     if max_n >= 4:
-        reports.append(_counterexample_report(longest[4]))
+        reports.append(_counterexample_report(longest[4].max_length))
     for n in range(2, max_n + 1):
         reports.append(census.verify_subalphabet_embedding(n))
     for n in range(0, min(max_n - 2, 4) + 1):

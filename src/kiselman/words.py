@@ -12,7 +12,6 @@ census step through the same transition table, `_letter_masks`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -58,8 +57,31 @@ def length_bound(n: int) -> int:
     return 3 * 2**k - 2 if odd else 2 ** (k + 1) - 2
 
 
-@dataclass(frozen=True)
-class Word:
+class _Value:
+    """A slotted immutable record, equal, hashed and shown by its fields as a frozen dataclass is."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:  # the class and its fields: a copy or a pickle is validated again
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self.__reduce__()[1]))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Word(_Value):
     """A finite word over the alphabet {1, ..., rank}.
 
     Letters are 1-based ints; the empty word is the monoid identity.
@@ -68,8 +90,14 @@ class Word:
     the letters and sizes the transition table, `_letter_masks`.
     """
 
+    __slots__ = ("letters", "rank")
     letters: tuple[int, ...]
     rank: int
+
+    def __init__(self, letters: tuple[int, ...], rank: int) -> None:
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "rank", rank)
+        self.__post_init__()  # looked up on the class, where a tracer may wrap it
 
     def __post_init__(self) -> None:
         # a bool or float is no rank, even one equal to an int
@@ -110,6 +138,7 @@ class Word:
 
     def __str__(self) -> str:
         return self.to_text()
+
 
 
 class CanonicalViolation(NamedTuple):

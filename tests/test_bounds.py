@@ -190,6 +190,20 @@ def test_even_upper_bound():
             even_upper_bound_check(k)
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: maximal_multiset(0), "need rank >= 1, got 0"),
+        (lambda: prefix_upper_bound(-1), "rank must be nonnegative, got -1"),
+        (lambda: multinomial_identity_check(0), "need k >= 1, got 0"),
+    ],
+    ids=["maximal_multiset", "prefix_upper_bound", "multinomial_identity_check"],
+)
+def test_argument_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_odd_exponent():
     # log2(432)/sqrt(2), the odd limit's bound, printed by the same routine
     assert scaled_log(1, 216) == "6.190640"

@@ -3,7 +3,6 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -258,6 +257,21 @@ def test_odd_structure_reports():
         verify_odd_structure(4)
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: longest_census(0), "need rank >= 1, got 0"),
+        (lambda: verify_odd_structure(4), "factorization of maximal words only holds for odd ranks, got 4"),
+        (lambda: verify_odd_structure(1), "need rank >= 3, got 1"),
+        (lambda: verify_subalphabet_embedding(0), "need rank >= 1, got 0"),
+    ],
+    ids=["longest_census", "verify_odd_structure-even", "verify_odd_structure-small", "verify_subalphabet_embedding"],
+)
+def test_argument_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_odd_structure_report_names_non_canonical_composites(monkeypatch):
     monkeypatch.setattr("kiselman.census.is_canonical", lambda word: False)
     report = verify_odd_structure(3)
@@ -269,7 +283,7 @@ def test_odd_structure_report_names_unfactored_words():
     # drop the inner word 2 1 3 2: the six maximal words of rank 5 built
     # from its shift 3 2 4 3 no longer factor, although the counts agree
     inner = longest_census(3)
-    report = _odd_structure_report(longest_census(5), replace(inner, words=inner.words[1:]))
+    report = _odd_structure_report(longest_census(5), inner._replace(words=inner.words[1:]))
     assert not report.holds
     assert report.lhs == report.rhs == 8
     assert report.note == "f(5) = 8, 2*f(3)^2 = 8; 6 failures, first: '3 2 4 3 1 5 3 2 4 3'"

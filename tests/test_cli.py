@@ -301,15 +301,46 @@ FOOTPRINT = (
         (["count", "--rank", "3"], "bounds census cli reports words"),
         (["table", "--max-n", "2"], "bounds census cli reports words"),
         (["verify", "--suite", "bounds", "--max-n", "2"], "bounds census cli reports verify words"),
-        (["verify", "--suite", "reducer", "--max-n", "1"], "bounds census cli oracle reduce reports verify words"),
+        (["verify", "--suite", "reducer", "--max-n", "1"], "bounds cli oracle reduce reports verify words"),
+        (["verify", "--suite", "identities", "--max-n", "2"], "bounds cli reports verify words"),
     ],
-    ids=["check", "reduce", "mul", "count", "table", "verify-bounds", "verify-reducer"],
+    ids=["check", "reduce", "mul", "count", "table", "verify-bounds", "verify-reducer", "verify-identities"],
 )
 def test_each_command_imports_only_what_it_runs(argv, loaded):
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT, *argv], capture_output=True, text=True, env=_package_env()
     )
     assert proc.stdout.splitlines()[-1:] == [loaded], proc.stderr
+
+
+@pytest.mark.parametrize(
+    ("argv", "loaded"),
+    [
+        (["check", "1 2 1", "--rank", "3"], False),
+        (["reduce", "2 1 2", "--rank", "2"], False),
+        (["mul", "1 2", "1", "--rank", "2"], False),
+        (["verify", "--suite", "identities", "--max-n", "2"], False),
+        (["verify", "--suite", "reducer", "--max-n", "1"], False),
+        # `Census` is the one dataclass left, so the commands that run the census still load it
+        (["count", "--rank", "3"], True),
+        (["table", "--max-n", "2"], True),
+        (["verify", "--suite", "bounds", "--max-n", "2"], True),
+        (["verify", "--suite", "structure", "--max-n", "3"], True),
+    ],
+    ids=["check", "reduce", "mul", "verify-identities", "verify-reducer", "count", "table", "verify-bounds",
+         "verify-structure"],
+)
+def test_dataclasses_load_only_with_the_census(argv, loaded):
+    # `dataclasses` pulls in inspect, ast, dis and tokenize: most of a one-shot child's import time
+    code = "import sys\nfrom kiselman.cli import main\nmain(sys.argv[1:])\nprint('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_package_env())
+    assert proc.stdout.splitlines()[-1:] == [str(loaded)], proc.stderr
+
+
+def test_cli_import_loads_no_dataclasses():
+    code = "import sys, kiselman.cli\nprint('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_package_env())
+    assert proc.stdout == "False\n", proc.stderr
 
 
 @pytest.mark.parametrize(

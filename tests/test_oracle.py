@@ -289,6 +289,12 @@ def test_negative_cap_is_refused(entry):
     assert len(congruence_closure(2, 0)) == 1
 
 
+@pytest.mark.parametrize("entry", [congruence_closure, certify_reducer])
+def test_negative_rank_is_refused(entry):
+    with pytest.raises(ValueError, match="^rank must be nonnegative, got -1$"):
+        entry(-1, 3)
+
+
 # and every other pair of rank <= 4 and cap <= 6
 SMALL_PAIRS = sorted({(n, cap) for n in range(5) for cap in range(7)} - {*CLASS_PAIRS})
 
@@ -526,6 +532,18 @@ def test_memo_catches_canonical_claims_past_the_cap(monkeypatch):
     multiple = [v for v in cert.violations if v["kind"] == "multiple_canonical_members"]
     assert multiple and not cert.holds
     assert all(any(len(w.split()) > 4 for w in v["canonical"]) for v in multiple)
+
+
+def test_classes_without_a_canonical_member_are_violations(monkeypatch):
+    # a step that always deletes leaves the empty word the one word that reduces to itself
+    step = reduce._deletion_index
+    monkeypatch.setattr(reduce, "_deletion_index", lambda w, masks: step(w, masks) or 0)
+    cert = certify_reducer(2, 3)
+    assert cert.retried and not cert.holds
+    assert cert.violations == tuple({"kind": "no_canonical_member", "class_rep": r} for r in ("1", "2", "1 2", "2 1"))
+    report = verify_reducer_against_oracle(2, 3)
+    assert not report.holds
+    assert f"; 4 violations, first: {json.dumps(list(cert.violations[:3]))}" in report.note
 
 
 def test_certification_counts():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -71,8 +73,22 @@ def test_reduction_preserves_content():
 
 
 def test_kelement_rejects_non_canonical():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a canonical word: '1 1'"):
         KElement(Word((1, 1), 1))
+
+
+def test_kelement_is_an_immutable_value():
+    e = canonical_form(Word((2, 1, 2), 2))
+    same = KElement(Word((1, 2), 2))
+    assert repr(e) == "KElement(word=Word(letters=(1, 2), rank=2))"
+    assert e == same and hash(e) == hash(same) and {e: 1}[same] == 1
+    assert e != KElement(Word((2, 1), 2)) and e != same.word
+    assert len({e, same, *generators(2)}) == 3
+    for assign in (lambda: setattr(e, "word", Word((), 2)), lambda: delattr(e, "word")):
+        with pytest.raises(AttributeError):
+            assign()
+    assert e == same and not hasattr(e, "__dict__")
+    assert copy.copy(e) == e and pickle.loads(pickle.dumps(e)) == e
 
 
 def test_multiply():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import dataclass
 
 import pytest
@@ -109,6 +111,42 @@ def test_word_validation():
             Word((1,), rank)
 
 
+def test_word_is_an_immutable_value():
+    w = Word([2, 1, 2], 2)
+    # list letters are stored as a tuple, and the repr is the one a dataclass gave
+    assert w.letters == (2, 1, 2)
+    assert repr(w) == "Word(letters=(2, 1, 2), rank=2)"
+    same, other_rank = Word((2, 1, 2), 2), Word((2, 1, 2), 3)
+    assert w == same and hash(w) == hash(same)
+    assert w != other_rank and w != ((2, 1, 2), 2)
+    assert {w, same, other_rank} == {w, other_rank}
+    assert {w: 1}[same] == 1
+    for assign in (lambda: setattr(w, "rank", 3), lambda: setattr(w, "letters", ()), lambda: delattr(w, "rank")):
+        with pytest.raises(AttributeError):
+            assign()
+    assert w == same and not hasattr(w, "__dict__")
+    # copies and pickles rebuild the word through its validation
+    assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+
+
+def test_word_validates_once_per_construction(monkeypatch):
+    # the hook the benchmark's tracer wraps for its words.validate metric
+    calls = []
+    original = Word.__post_init__
+
+    def counted(self):
+        calls.append(self.letters)
+        original(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counted)
+    Word((1, 2), 2)
+    Word.from_text("2 1 2", 2)
+    Word(letters=[1], rank=1)
+    with pytest.raises(ValueError, match="letter 3 outside"):
+        Word((3,), 2)
+    assert calls == [(1, 2), (2, 1, 2), [1], (3,)]
+
+
 def test_violation_simple_square():
     v = canonical_violation(Word((1, 1), 1))
     assert v == CanonicalViolation(letter=1, first_pos=1, second_pos=2)
@@ -132,6 +170,11 @@ def test_violation_reports_leftmost_pair():
 
 def test_counterexample_word_is_canonical():
     assert is_canonical(Word((2, 3, 1, 2, 4, 3), 4))
+
+
+def test_transition_table_refuses_a_negative_rank():
+    with pytest.raises(ValueError, match="^rank must be nonnegative, got -1$"):
+        _letter_masks(-1)
 
 
 def test_canonical_words_small_rank():
