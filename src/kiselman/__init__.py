@@ -33,7 +33,6 @@ _HOMES = {
     "is_canonical": "words",
     "canonical_violation": "words",
     "canonical_form": "reduce",
-    "delete_step": "reduce",
     "multiply": "reduce",
     "identity": "reduce",
     "generators": "reduce",

@@ -70,10 +70,6 @@ class LongestCensus(NamedTuple):
     count: int
     words: tuple[tuple[int, ...], ...]
 
-    @property
-    def reaches_bound(self) -> bool:
-        return self.max_length == length_bound(self.rank)
-
 
 def _extension_table(n: int) -> tuple[dict[int, int], int, list[tuple[int, int, int]]]:
     """Extension counts by length for every state reachable from the empty word.

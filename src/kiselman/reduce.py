@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .words import Word, _first_owed, _letter_masks, _previous, _Value, is_canonical
 
-__all__ = ["KElement", "delete_step", "canonical_form", "multiply", "identity", "generators"]
+__all__ = ["KElement", "canonical_form", "multiply", "identity", "generators"]
 
 
 class KElement(_Value):
@@ -36,9 +36,6 @@ class KElement(_Value):
     def __mul__(self, other: "KElement") -> "KElement":
         return multiply(self, other)
 
-    def __len__(self) -> int:
-        return len(self.word)
-
     def __str__(self) -> str:
         return self.word.to_text()
 
@@ -56,17 +53,6 @@ def _deletion_index(
     # no smaller letter in the gap: the later occurrence is redundant;
     # otherwise there is no greater one and the earlier occurrence is
     return j if owes_smaller else _previous(letters, j)
-
-
-def delete_step(word: Word) -> Word | None:
-    """Apply one deletion to the leftmost reducible pair, or None if none exists.
-
-    Ties (empty gap, where both deletions apply) drop the later occurrence.
-    """
-    idx = _deletion_index(word.letters, _letter_masks(word.rank))
-    if idx is None:
-        return None
-    return Word(word.letters[:idx] + word.letters[idx + 1 :], word.rank)
 
 
 def canonical_form(word: Word) -> KElement:

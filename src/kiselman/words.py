@@ -12,8 +12,9 @@ census step through the same transition table, `_letter_masks`.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator, NamedTuple
 
 __all__ = [
     "ResourceGuardError",
@@ -125,11 +126,6 @@ class Word(_Value):
     def to_text(self) -> str:
         return " ".join(str(x) for x in self.letters)
 
-    @property
-    def content(self) -> frozenset[int]:
-        """The set of distinct letters of the word."""
-        return frozenset(self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -141,14 +137,12 @@ class Word(_Value):
 
 
 
-class CanonicalViolation(NamedTuple):
+class CanonicalViolation(namedtuple("CanonicalViolation", ("letter", "first_pos", "second_pos"))):
     """Witness of non-canonicity: two occurrences of `letter` whose gap
     lacks a smaller letter, a greater letter, or both.  Positions are
     1-based."""
 
-    letter: int
-    first_pos: int
-    second_pos: int
+    __slots__ = ()
 
 
 def _letter_masks(n: int) -> tuple[tuple[int, int, int], ...]:

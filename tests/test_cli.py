@@ -1,3 +1,4 @@
+import doctest
 import json
 import os
 import shutil
@@ -273,6 +274,13 @@ def test_demo_runs(demo):
     assert proc.stdout
 
 
+def test_readme_quick_start_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    results = doctest.testfile(str(readme), module_relative=False)
+    assert results.attempted >= 10
+    assert results.failed == 0
+
+
 def test_cli_import_leaves_numpy_unloaded():
     code = (
         "import kiselman, kiselman.cli\n"
@@ -335,6 +343,12 @@ def test_dataclasses_load_only_with_the_census(argv, loaded):
     code = "import sys\nfrom kiselman.cli import main\nmain(sys.argv[1:])\nprint('dataclasses' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_package_env())
     assert proc.stdout.splitlines()[-1:] == [str(loaded)], proc.stderr
+    if argv[0] in ("check", "reduce", "mul"):
+        # nor `typing`, which only an interpreter started without `site` shows: site may import it first
+        code = code.replace("'dataclasses'", "'typing'")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True,
+                              env=_package_env())
+        assert proc.stdout.splitlines()[-1:] == ["False"], proc.stderr
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -381,5 +395,11 @@ def test_lazy_namespace_serves_every_public_name():
     namespace: dict = {}
     exec("from kiselman import *", namespace)
     assert set(kiselman.__all__) <= set(namespace)
+    # each name's home lists it, and each submodule serves every name it lists
+    for name, home in kiselman._HOMES.items():
+        assert name in getattr(kiselman, home).__all__, name
+    for module in SUBMODULES:
+        for name in getattr(getattr(kiselman, module), "__all__", ()):
+            assert hasattr(getattr(kiselman, module), name), (module, name)
     with pytest.raises(AttributeError, match="'no_such_name'"):
         kiselman.no_such_name

@@ -109,7 +109,7 @@ def test_deletion_index_ignores_what_follows_its_stop(word, data):
 def test_canonical_form_is_idempotent_keeps_content_and_is_canonical(word):
     reduced = canonical_form(word).word
     assert is_canonical(reduced)
-    assert reduced.content == word.content
+    assert frozenset(reduced.letters) == frozenset(word.letters)
     assert canonical_form(reduced).word == reduced
 
 

@@ -97,8 +97,9 @@ def test_run_suite_dispatch():
 
 def test_failing_and_all_hold():
     reports = verify.identities_suite(max_n=2)
-    assert verify.all_hold(reports)
-    assert verify.failing(reports) == []
+    assert not verify.failing(reports)
+    wrong = BoundReport.at_most("lhs-above-rhs", 1, 3, 2)
+    assert verify.failing([*reports, wrong]) == [wrong]
 
 
 def test_exact_suites_output_is_pinned():

@@ -205,11 +205,6 @@ def test_plus_one_check():
         plus_one_check(Word((1, 1), 1))
 
 
-def test_content():
-    w = Word((2, 1, 3, 2), 3)
-    assert w.content == frozenset({1, 2, 3})
-
-
 def test_letter_masks_match_their_definition():
     # the transition table by its definition: each letter's bit, then the
     # complements of the letters above it and of the letters below it
