@@ -90,7 +90,7 @@ def _extension_table(n: int) -> tuple[dict[int, int], int, list[tuple[int, int, 
     # the width leans on that bound as L(n) does; tests check it on allowed ranks
     slot = prefix_upper_bound(n).bit_length() + 1 if n else 2
     full, table = (1 << n) - 1, {}
-    steps = [(bit, (keep_ns & full) << n | keep_ng & full, bit << n | bit) for bit, keep_ns, keep_ng in masks]
+    steps = [(bit, (keep_ns & full) << n | keep_ng & full, bit << n | bit) for bit, keep_ns, keep_ng in masks[1:]]
 
     def extensions(s: int) -> int:
         blocked, below = (s >> n) | s, 0
@@ -123,7 +123,7 @@ def iter_canonical(n: int) -> Iterator[tuple[int, ...]]:
         blocked = ns | ng
         # pushed in decreasing letter order, so the smallest letter pops first
         for x in range(n, 0, -1):
-            bit, keep_ns, keep_ng = masks[x - 1]
+            bit, keep_ns, keep_ng = masks[x]
             if not (blocked & bit):
                 stack.append((word + (x,), (ns & keep_ns) | bit, (ng & keep_ng) | bit))
 

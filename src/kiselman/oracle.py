@@ -248,7 +248,8 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
         while stack:
             prefix, value, ns, ng = stack.pop()
             e = len(prefix)
-            for x, (bit, keep_ns, keep_ng) in enumerate(masks, 1):
+            for x in range(1, n + 1):
+                bit, keep_ns, keep_ng = masks[x]
                 w, v = prefix + (x,), value * n + x - 1
                 if e + 1 < ell and not (ns | ng) & bit:
                     stack.append((w, v, (ns & keep_ns) | bit, (ng & keep_ng) | bit))

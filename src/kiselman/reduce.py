@@ -14,6 +14,8 @@ on all small ranks rather than assumed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .words import Word, _first_owed, _letter_masks, _previous, _Value, is_canonical
 
 __all__ = ["KElement", "canonical_form", "multiply", "identity", "generators"]
@@ -41,11 +43,12 @@ class KElement(_Value):
 
 
 def _deletion_index(
-    letters: tuple[int, ...], masks: tuple[tuple[int, int, int], ...]
+    letters: Sequence[int], masks: tuple[tuple[int, int, int] | None, ...]
 ) -> int | None:
     # Leftmost reducible pair of consecutive equal letters, ordered by the
     # position of the second occurrence: the first letter the owed-state
-    # pass stops at.  Returns the index to delete.
+    # pass stops at.  Returns the index to delete.  Letters are any
+    # sequence; masks is `_letter_masks`' table, None at entry 0.
     hit = _first_owed(letters, masks)
     if hit is None:
         return None
@@ -58,19 +61,19 @@ def _deletion_index(
 def canonical_form(word: Word) -> KElement:
     """Reduce to the unique canonical word by iterated deletion.
 
-    Each step shortens the word, so this terminates; the fixed point is
-    checked once, by the element's own validation against the canonicity
-    predicate (a failure would mean the reducer and the predicate disagree
-    and must surface loudly, not be papered over).
+    The letters are held in a list and each deletion is made in place, so
+    no step builds a new word; each step scans again from position 0.  Each
+    step shortens the word, so this terminates; the fixed point is checked
+    once, by the element's own validation against the canonicity predicate
+    (a failure would mean the reducer and the predicate disagree and must
+    surface loudly, not be papered over).
     """
     masks = _letter_masks(word.rank)
-    letters = word.letters
-    while True:
-        idx = _deletion_index(letters, masks)
-        if idx is None:
-            break
-        letters = letters[:idx] + letters[idx + 1 :]
-    return KElement(Word(letters, word.rank))
+    letters = list(word.letters)
+    # the step is a global, looked up at each call: a patched step is the one run
+    while (idx := _deletion_index(letters, masks)) is not None:
+        del letters[idx]
+    return KElement(Word(tuple(letters), word.rank))
 
 
 def multiply(x: KElement, y: KElement) -> KElement:

@@ -13,7 +13,7 @@ census step through the same transition table, `_letter_masks`.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 __all__ = [
@@ -145,9 +145,10 @@ class CanonicalViolation(namedtuple("CanonicalViolation", ("letter", "first_pos"
     __slots__ = ()
 
 
-def _letter_masks(n: int) -> tuple[tuple[int, int, int], ...]:
-    """(bit, keep_ns, keep_ng) for each letter 1..n: the transition of the
-    owed-smaller / owed-greater state.
+def _letter_masks(n: int) -> tuple[tuple[int, int, int] | None, ...]:
+    """(bit, keep_ns, keep_ng) for each letter 1..n, indexed by the letter:
+    the transition of the owed-smaller / owed-greater state.  Entry 0 is
+    None, so a pass reads masks[x] with no shift.
 
     A prefix's state is two bitmasks: ns holds the letters that have seen
     no smaller letter since their last occurrence, ng those that have seen
@@ -167,14 +168,14 @@ def _letter_masks(n: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _build_letter_masks(n: int) -> tuple[tuple[int, int, int], ...]:
+def _build_letter_masks(n: int) -> tuple[tuple[int, int, int] | None, ...]:
     full = (1 << n) - 1
     # the letters above x are full less bits 1..x, those below are bits 1..x-1
-    return tuple((bit, ~(full ^ ((bit << 1) - 1)), ~(bit - 1)) for bit in (1 << k for k in range(n)))
+    return (None, *((bit, ~(full ^ ((bit << 1) - 1)), ~(bit - 1)) for bit in (1 << k for k in range(n))))
 
 
 def _first_owed(
-    letters: tuple[int, ...], masks: tuple[tuple[int, int, int], ...]
+    letters: Sequence[int], masks: tuple[tuple[int, int, int] | None, ...]
 ) -> tuple[int, bool] | None:
     """One left-to-right pass over the owed state.
 
@@ -182,12 +183,13 @@ def _first_owed(
     the later occurrence of the first pair (ordered by its later
     occurrence) to break the gap condition, and whether that letter owes a
     smaller one (its gap since the previous occurrence has no smaller
-    letter).  None when the word is canonical.  Letters must lie in
-    1..len(masks).
+    letter).  None when the word is canonical.  Letters, any sequence of
+    them, must lie in 1..len(masks) - 1; masks is `_letter_masks`' table,
+    whose entry 0 is None.
     """
     ns = ng = 0
     for j, x in enumerate(letters):
-        bit, keep_ns, keep_ng = masks[x - 1]
+        bit, keep_ns, keep_ng = masks[x]
         if (ns | ng) & bit:
             return j, bool(ns & bit)
         ns = (ns & keep_ns) | bit
@@ -195,7 +197,7 @@ def _first_owed(
     return None
 
 
-def _previous(letters: tuple[int, ...], j: int) -> int:
+def _previous(letters: Sequence[int], j: int) -> int:
     """Index of the last occurrence of letters[j] before j; one must exist."""
     return j - 1 - letters[j - 1 :: -1].index(letters[j])
 

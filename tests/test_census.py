@@ -107,7 +107,7 @@ def _forward_levels(n):
     # second formulation of the census DP: breadth-first over
     # (ns, ng) -> number-of-prefixes maps, one map per length; it keys
     # states by tuple, apart from the packing of the census table
-    masks = _letter_masks(n)
+    masks = _letter_masks(n)[1:]  # letter x's transition at x - 1
     level = {(0, 0): 1}
     while level:
         yield level
@@ -185,7 +185,7 @@ def _pruned_longest_walk(n):
     # reference for the depth-by-depth listing: a depth-first walk with
     # children in increasing letter order that enters a child only if its
     # longest extension, from a memo of its own, still reaches the maximal length
-    masks = _letter_masks(n)
+    masks = _letter_masks(n)[1:]  # letter x's transition at x - 1
     longest = {}
 
     def reach(ns, ng):
@@ -372,7 +372,7 @@ def test_no_callable_takes_an_override():
 def test_transition_table_guard_reads_the_budget_at_call_time(monkeypatch):
     # rank 4's table weighs 12 words; a cached table is refused like a new one,
     # and count weighs it before its own census table, whatever the order of calls
-    assert len(_letter_masks(4)) == 4
+    assert len(_letter_masks(4)) == 5  # indexed by the letter, entry 0 unused
     monkeypatch.setattr("kiselman.words.BUDGET", 11)
     with pytest.raises(ResourceGuardError, match="rank 4 transition table"):
         _letter_masks(4)

@@ -416,6 +416,39 @@ def test_faults_at_every_length_fail_the_certification(fault, monkeypatch):
     assert cert.violations and not cert.holds
 
 
+def _first_owed_with(update):
+    # the owed-state pass with update(ns, ng, bit, keep_ns, keep_ng) in place of its transition
+    def first_owed(letters, masks):
+        ns = ng = 0
+        for j, x in enumerate(letters):
+            bit, keep_ns, keep_ng = masks[x]
+            if (ns | ng) & bit:
+                return j, bool(ns & bit)
+            ns, ng = update(ns, ng, bit, keep_ns, keep_ng)
+        return None
+
+    return first_owed
+
+
+# the true transition, then faults in it; "ng_keeps_all" still certifies at (2, 5)
+STATE_UPDATES = {
+    "true": lambda ns, ng, bit, keep_ns, keep_ng: ((ns & keep_ns) | bit, (ng & keep_ng) | bit),
+    "ns_drops_bit": lambda ns, ng, bit, keep_ns, keep_ng: (ns & keep_ns, (ng & keep_ng) | bit),
+    "ng_keeps_all": lambda ns, ng, bit, keep_ns, keep_ng: ((ns & keep_ns) | bit, ng | bit),
+    "ns_keeps_all": lambda ns, ng, bit, keep_ns, keep_ng: (ns | bit, (ng & keep_ng) | bit),
+    "ns_by_ng_keep": lambda ns, ng, bit, keep_ns, keep_ng: ((ns & keep_ng) | bit, (ng & keep_ng) | bit),
+}
+
+
+@pytest.mark.parametrize("update", STATE_UPDATES)
+@pytest.mark.parametrize("n,max_len", [(3, 4), (4, 4)])
+def test_faulty_owed_state_fails_the_certification(n, max_len, update, monkeypatch):
+    # only the reducer's pass is replaced: the walk's prefix states keep the true
+    # transition, and each step reads its word from position 0 through the fault
+    monkeypatch.setattr(reduce, "_first_owed", _first_owed_with(STATE_UPDATES[update]))
+    assert certify_reducer(n, max_len).holds == (update == "true")
+
+
 def test_memo_catches_a_deletion_past_the_shared_prefix(monkeypatch):
     # the last letter lies past the prefix of every run longer than one
     # word, so the walk steps through those runs word by word

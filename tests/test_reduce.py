@@ -1,9 +1,11 @@
 import copy
 import itertools
 import pickle
+import time
 
 import pytest
 
+from kiselman import reduce
 from kiselman.census import iter_canonical
 from kiselman.reduce import (
     KElement,
@@ -60,6 +62,30 @@ def test_delete_step_shortens():
     # an empty gap, where both deletions apply, drops the later occurrence
     assert _deletion_index((2, 1, 1), masks) == 2
     assert _deletion_index((2, 2), masks) == 1
+
+
+def test_a_long_run_of_one_letter_reduces_in_place():
+    # each deletion is made in place: "1" * 40 000 took 5-7 s when every step rebuilt the tuple
+    start = time.perf_counter()
+    assert canonical_form(Word((1,) * 40_000, 1)).word == Word((1,), 1)
+    assert time.perf_counter() - start < 2
+
+
+def test_a_deletion_past_the_end_raises(monkeypatch):
+    # the step is looked up in the module at each call, and its index is deleted as given;
+    # the patch stops a reducer that would step again on the word it left unchanged
+    calls = []
+
+    def past_the_end(letters, masks):
+        calls.append(len(letters))
+        if len(calls) > 2:
+            raise RuntimeError("the word was left unchanged")
+        return len(letters)
+
+    monkeypatch.setattr(reduce, "_deletion_index", past_the_end)
+    with pytest.raises(IndexError):
+        canonical_form(Word((1, 1), 1))
+    assert calls == [2]
 
 
 def test_reduction_preserves_content():

@@ -206,10 +206,11 @@ def test_plus_one_check():
 
 
 def test_letter_masks_match_their_definition():
-    # the transition table by its definition: each letter's bit, then the
-    # complements of the letters above it and of the letters below it
+    # the transition table by its definition, indexed by the letter with None
+    # at entry 0: each letter's bit, then the complements of the letters above
+    # it and of the letters below it
     for n in range(41):
-        expected = []
+        expected = [None]
         for x in range(1, n + 1):
             above = sum(1 << (y - 1) for y in range(x + 1, n + 1))
             below = sum(1 << (y - 1) for y in range(1, x))
