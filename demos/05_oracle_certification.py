@@ -20,7 +20,7 @@ def main() -> None:
     print("congruence classes over rank 2, words of length <= 4:")
     for cls in congruence_closure(2, 4):
         members = ", ".join(" ".join(map(str, w)) or "(empty)" for w in cls.members)
-        canonical = " ".join(map(str, cls.canonical_member or ())) or "(empty)"
+        canonical = ", ".join(" ".join(map(str, w)) or "(empty)" for w in cls.canonical_members)
         print(f"  [{canonical}] = {{{members}}}")
 
     print()

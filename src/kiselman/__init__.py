@@ -38,7 +38,6 @@ _HOMES = {
     "generators": "reduce",
     "iter_canonical": "census",
     "count": "census",
-    "filtered_recount": "census",
     "longest_census": "census",
     "congruence_closure": "oracle",
     "certify_reducer": "oracle",
@@ -55,7 +54,6 @@ _HOMES = {
     "limit_report": "bounds",
     "scaled_log": "bounds",
     "run_suite": "verify",
-    "run_all": "verify",
     "reports_to_json": "reports",
     "reports_to_csv": "reports",
 }

@@ -12,10 +12,8 @@ Two prefixes in the same state have the same canonical extensions, so
 integer (the transfer-matrix method), and lists no word; a state is one
 integer, ns << n | ng.  `longest_census` joins the maximal prefixes of
 half the maximal length with the maximal suffixes of their states, built
-backward from the last letter.  Two independent censuses cross-check it:
-`iter_canonical`, a depth-first walk over every canonical word, and
-`filtered_recount`, a breadth-first extend-and-filter recount over whole
-length levels, driven directly by the defining gap condition.
+backward from the last letter.  `iter_canonical`, a depth-first walk over
+every canonical word, cross-checks it.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ __all__ = [
     "LongestCensus",
     "iter_canonical",
     "count",
-    "filtered_recount",
     "longest_census",
     "verify_odd_structure",
     "verify_subalphabet_embedding",
@@ -143,45 +140,6 @@ def count(n: int) -> Census:
         total=sum(by_len),
         by_length=dict(enumerate(by_len)),
         max_length=len(by_len) - 1,
-    )
-
-
-def filtered_recount(n: int) -> Census:
-    """Independent census: breadth-first extend-and-filter.
-
-    Extends every canonical word of length l by every letter x and keeps
-    the extension iff x does not occur in the word or the segment from its
-    last occurrence on holds a letter smaller than x and a greater one (the
-    defining gap condition, applied to the one pair a canonical prefix can
-    break).  Works on whole length levels of words held as bytes and shares
-    no state logic with the depth-first walk or the census DP.  Stops at
-    the closed-form length bound L(n): a word of length L(n) + 1 that
-    passes the filter raises RuntimeError, so a faulty filter fails
-    before its levels can grow without bound.  Its guard alone reads the
-    census DP's total, weighed by the letters of the words it holds.
-    """
-    _guard(count(n).total * length_bound(n), f"rank {n} recount")
-    bound = length_bound(n)
-    letters = [(x, bytes((x,))) for x in range(1, n + 1)]
-    by_length: dict[int, int] = {}
-    level = [b""]
-    while level:
-        if len(by_length) > bound:
-            raise RuntimeError(f"rank {n} recount kept {list(level[0])}, longer than L({n}) = {bound}")
-        by_length[len(by_length)] = len(level)
-        extended = []
-        for word in level:
-            for x, tail in letters:
-                last = word.rfind(x)
-                # the segment starts at x itself, so both comparisons must be strict
-                if last < 0 or min(gap := word[last:]) < x < max(gap):
-                    extended.append(word + tail)
-        level = extended
-    return Census(
-        rank=n,
-        total=sum(by_length.values()),
-        by_length=by_length,
-        max_length=max(by_length),
     )
 
 

@@ -38,13 +38,6 @@ class CongruenceClass(NamedTuple):
     members: tuple[tuple[int, ...], ...]
     canonical_members: tuple[tuple[int, ...], ...]
 
-    @property
-    def canonical_member(self) -> tuple[int, ...] | None:
-        """The unique canonical member, or None if absent or ambiguous."""
-        if len(self.canonical_members) == 1:
-            return self.canonical_members[0]
-        return None
-
 
 def _layout(n: int, max_len: int) -> tuple[list[int], list[int]]:
     # A word of length l sits at offset[l], the number of shorter words,

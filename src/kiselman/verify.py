@@ -12,7 +12,7 @@ from . import SUITES, bounds
 from .reports import BoundReport
 from .words import Word, _guard, is_canonical, length_bound
 
-__all__ = ["SUITES", "REDUCER_CHECKS", "run_suite", "run_all", "failing", "warned"]
+__all__ = ["SUITES", "REDUCER_CHECKS", "run_suite", "failing", "warned"]
 
 # (rank, word-length cap) pairs certified against the congruence oracle
 REDUCER_CHECKS = ((1, 7), (2, 7), (3, 7), (4, 8))
@@ -143,14 +143,10 @@ def run_suite(suite: str, max_n: int = 6) -> list[BoundReport]:
     if suite == "structure":
         return structure_suite(max_n)
     if suite == "all":
-        return run_all(max_n)
+        # structure first, as its listing guard refuses a rank soonest; reports keep SUITES order
+        structure = structure_suite(max_n)
+        return [r for s in SUITES for r in (structure if s == "structure" else run_suite(s, max_n))]
     raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
-
-
-def run_all(max_n: int = 6) -> list[BoundReport]:
-    # structure first, as its listing guard refuses a rank soonest; reports keep SUITES order
-    structure = structure_suite(max_n)
-    return [r for s in SUITES for r in (structure if s == "structure" else run_suite(s, max_n))]
 
 
 def failing(reports: list[BoundReport]) -> list[BoundReport]:

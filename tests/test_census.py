@@ -10,10 +10,10 @@ import kiselman
 from kiselman import census
 from kiselman.bounds import km_upper_bound, lower_bound, prefix_upper_bound
 from kiselman.census import (
+    Census,
     _extension_table,
     _odd_structure_report,
     count,
-    filtered_recount,
     iter_canonical,
     longest_census,
     verify_lower_bound_construction,
@@ -123,6 +123,43 @@ def _forward_by_length(n):
     return {length: sum(level.values()) for length, level in enumerate(_forward_levels(n))}
 
 
+def filtered_recount(n: int) -> Census:
+    """The gap-condition reference: breadth-first extend-and-filter.
+
+    Extends every canonical word of length l by every letter x and keeps
+    the extension iff x does not occur in the word or the segment from its
+    last occurrence on holds a letter smaller than x and a greater one (the
+    defining gap condition, applied to the one pair a canonical prefix can
+    break).  Works on whole length levels of words held as bytes and shares
+    no state logic with the depth-first walk or the census DP.  Stops at
+    the closed-form length bound L(n): a word of length L(n) + 1 that
+    passes the filter raises RuntimeError, so a faulty filter fails
+    before its levels can grow without bound.
+    """
+    bound = length_bound(n)
+    letters = [(x, bytes((x,))) for x in range(1, n + 1)]
+    by_length: dict[int, int] = {}
+    level = [b""]
+    while level:
+        if len(by_length) > bound:
+            raise RuntimeError(f"rank {n} recount kept {list(level[0])}, longer than L({n}) = {bound}")
+        by_length[len(by_length)] = len(level)
+        extended = []
+        for word in level:
+            for x, tail in letters:
+                last = word.rfind(x)
+                # the segment starts at x itself, so both comparisons must be strict
+                if last < 0 or min(gap := word[last:]) < x < max(gap):
+                    extended.append(word + tail)
+        level = extended
+    return Census(
+        rank=n,
+        total=sum(by_length.values()),
+        by_length=by_length,
+        max_length=max(by_length),
+    )
+
+
 def test_dp_matches_walk_and_recount():
     for n in range(7):
         walked = Counter(len(w) for w in iter_canonical(n))
@@ -132,8 +169,9 @@ def test_dp_matches_walk_and_recount():
 
 
 def test_recount_raises_on_a_word_past_the_length_bound(monkeypatch):
-    # with the bound set one short, the longest canonical words are too long
-    monkeypatch.setattr("kiselman.census.length_bound", lambda n: length_bound(n) - 1)
+    # with the bound set one short, the longest canonical words are too long;
+    # the recount reads this module's length_bound, so the patch binds the real one
+    monkeypatch.setitem(globals(), "length_bound", lambda n, real=length_bound: real(n) - 1)
     with pytest.raises(RuntimeError, match=r"longer than L\(3\) = 3"):
         filtered_recount(3)
 
@@ -320,13 +358,12 @@ def test_rank_guard():
     "call",
     [
         lambda: next(iter_canonical(7)),
-        lambda: filtered_recount(7),
         lambda: verify_lower_bound_construction(5),
         lambda: verify_subalphabet_embedding(7),
         lambda: longest_census(10),
         lambda: longest_census(8),
     ],
-    ids=["iter_canonical", "filtered_recount", "lower_bound", "embedding", "longest", "longest_letters"],
+    ids=["iter_canonical", "lower_bound", "embedding", "longest", "longest_letters"],
 )
 def test_listing_refused_by_its_size(call):
     # each refusal comes from the census DP's exact size, before any long listing

@@ -79,13 +79,13 @@ def test_run_all_refuses_before_the_slow_suites(monkeypatch):
 
     monkeypatch.setattr(verify, "reducer_suite", refused)
     with pytest.raises(ResourceGuardError, match="rank 7 word listing"):
-        verify.run_all(7)
+        verify.run_suite("all", 7)
 
 
 def test_run_all_keeps_suites_order(monkeypatch):
     monkeypatch.setattr(verify, "reducer_suite", lambda max_n: [BoundReport("reducer-stub", max_n, 0, 0, True)])
     expected = [r for suite in verify.SUITES for r in verify.run_suite(suite, 3)]
-    assert verify.run_all(3) == expected
+    assert verify.run_suite("all", 3) == expected
     assert expected[0].name == "reducer-stub"
 
 
