@@ -7,8 +7,7 @@ over the inner letters, forcing the count of maximal words to satisfy
 f(n) = 2 f(n-2)^2.  At rank 4 that pattern already breaks.
 """
 
-from kiselman import Word, is_canonical, length_bound, longest_census
-from kiselman.census import verify_odd_structure
+from kiselman import Word, is_canonical, length_bound, longest_census, run_suite
 
 
 def main() -> None:
@@ -24,9 +23,9 @@ def main() -> None:
         print(f"  {' '.join(map(str, w))}")
 
     print()
-    for n in (3, 5):
-        report = verify_odd_structure(n)
-        print(f"odd factorization at rank {n}: {'holds' if report.holds else 'FAILS'} ({report.note})")
+    for report in run_suite("structure", 5):
+        if report.name == "maximal-words-factor-as-w-1-n-w":
+            print(f"odd factorization at rank {report.n_or_k}: {'holds' if report.holds else 'FAILS'} ({report.note})")
     print("so f(1), f(3), f(5) = 1, 2, 8, doubling-and-squaring each step")
 
     print()

@@ -45,7 +45,7 @@ _HOMES = {
     "lower_bound": "bounds",
     "km_upper_bound": "bounds",
     "prefix_upper_bound": "bounds",
-    "even_upper_bound": "bounds",
+    "parity_cap": "bounds",
     "maximal_multiset": "bounds",
     "multinomial": "bounds",
     "multinomial_identity_check": "bounds",

@@ -24,9 +24,7 @@ __all__ = [
     "prefix_upper_bound",
     "multinomial_identity_check",
     "binomial_lemma_check",
-    "even_upper_bound",
-    "even_upper_bound_check",
-    "odd_exponent_check",
+    "parity_cap",
     "scaled_log",
     "monotone_sequence_check",
     "limit_report",
@@ -137,45 +135,13 @@ def binomial_lemma_check(N: int, part: int) -> BoundReport:
     return BoundReport.at_most(f"binomial-estimate-part-{part}", N, lhs, rhs, note)
 
 
-def _parity_cap(n: int) -> int:
-    """The parity limits' cap: 64^(2^k) for n = 2k, 432^(2^k) for n = 2k+1."""
+def parity_cap(n: int) -> int:
+    """The cap on 2|K_n| behind the parity limits: 64^(2^k) at n = 2k, 432^(2^k) at n = 2k+1."""
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
     base = 432 if n % 2 else 64
     _weigh(base.bit_length(), n // 2, f"rank {n} parity cap")
     return base ** 2 ** (n // 2)
-
-
-def even_upper_bound(k: int) -> int:
-    """The even-rank upper bound 2^(6 * 2^k) = 64^(2^k) on the count for rank 2k."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    return _parity_cap(2 * k)
-
-
-def even_upper_bound_check(k: int) -> BoundReport:
-    """Companion check: the prefix bound for rank 2k stays below 2^(6*2^k)."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    name = "prefix-bound-below-even-upper-bound"
-    return BoundReport.at_most(name, k, prefix_upper_bound(2 * k), even_upper_bound(k), f"rank {2 * k}")
-
-
-def odd_exponent_check(n: int) -> BoundReport:
-    """Companion check: log2 of the prefix bound stays below c * 2^(n/2).
-
-    For odd n, c * 2^(n/2) = log2(432) * 2^((n-1)/2), so the check is
-    decided exactly as prefix_upper_bound(n) <= 432^(2^((n-1)/2)).
-    """
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"need odd n >= 1, got {n}")
-    return BoundReport.at_most(
-        "log2-prefix-bound-below-odd-exponent",
-        n,
-        prefix_upper_bound(n),
-        _parity_cap(n),
-        "exact form: prefix bound <= 432^(2^((n-1)/2))",
-    )
 
 
 def scaled_log(n: int, count: int) -> str:
@@ -243,8 +209,8 @@ def limit_report(counts: list[tuple[int, int]]) -> list[BoundReport]:
     for name, run in zip(names, _parity_runs(ordered)):
         if run:
             n, c = run[-1]
-            cap = _parity_cap(n)  # refused, if at all, before the notes are worked out
-            estimate, limit = scaled_log(n, c), scaled_log(n % 2, _parity_cap(n % 2) // 2)
+            cap = parity_cap(n)  # refused, if at all, before the notes are worked out
+            estimate, limit = scaled_log(n, c), scaled_log(n % 2, parity_cap(n % 2) // 2)
             note = f"lower estimate for the {('even', 'odd')[n % 2]} limit: {estimate} <= {limit}, both rounded down"
             reports.append(BoundReport.at_most(name, n, 2 * c, cap, note))
     return reports

@@ -32,7 +32,6 @@ __all__ = [
     "iter_canonical",
     "count",
     "longest_census",
-    "verify_odd_structure",
     "verify_subalphabet_embedding",
     "verify_lower_bound_construction",
 ]
@@ -180,25 +179,10 @@ def longest_census(n: int) -> LongestCensus:
     return LongestCensus(rank=n, max_length=best, count=len(words), words=words)
 
 
-def verify_odd_structure(n: int) -> BoundReport:
-    """Check the factorization of maximal words for odd rank.
-
-    Every canonical word of maximal length must split as w (1 n) w' or
-    w (n 1) w' with w, w' maximal canonical words over the inner alphabet
-    {2, ..., n-1}, and conversely every such composite must be canonical
-    and maximal; the counts then satisfy f(n) = 2 * f(n-2)^2.  Even ranks
-    are rejected: the factorization genuinely fails there.
-    """
-    if n % 2 == 0:
-        raise ValueError(f"factorization of maximal words only holds for odd ranks, got {n}")
-    if n < 3:
-        raise ValueError(f"need rank >= 3, got {n}")
-    return _odd_structure_report(longest_census(n), longest_census(n - 2))
-
-
 def _odd_structure_report(outer: LongestCensus, inner: LongestCensus) -> BoundReport:
-    # the check itself, on maximal-word censuses of an odd rank n >= 3 and
-    # of n - 2, so that a caller holding both need not build them again
+    # the maximal words of an odd rank n >= 3 (outer) split as w (1 n) w' or w (n 1) w'
+    # with w, w' maximal over {2, ..., n-1}, those of rank n - 2 shifted up (inner); every
+    # such composite is canonical and maximal, so f(n) = 2 f(n-2)^2. Even ranks break it
     n = outer.rank
     inner_shifted = {tuple(x + 1 for x in w) for w in inner.words}
     half = length_bound(n - 2)

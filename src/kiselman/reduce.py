@@ -35,8 +35,8 @@ class KElement(_Value):
     def rank(self) -> int:
         return self.word.rank
 
-    def __mul__(self, other: "KElement") -> "KElement":
-        return multiply(self, other)
+    def __mul__(self, other: object) -> "KElement":
+        return multiply(self, other) if isinstance(other, KElement) else NotImplemented
 
     def __str__(self) -> str:
         return self.word.to_text()

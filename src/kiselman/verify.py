@@ -35,29 +35,32 @@ def bounds_suite(max_n: int = 6) -> list[BoundReport]:
     """Sandwich every enumerated count between the proved bounds.
 
     Exact integer comparisons throughout: the double-exponential lower
-    bound, both upper bounds, the even-rank cap, the doubling recursion
+    bound, both upper bounds, the parity caps, the doubling recursion
     and the parity-limit estimates.
     """
     from . import census  # the two suites that run the census load it, so the others do not
     counts = {n: census.count(n).total for n in range(max_n + 1)}
-    reports = []
+    reports, prefix = [], {}
     for n, c in counts.items():
         reports.append(BoundReport.at_most("lower-bound-below-count", n, bounds.lower_bound(n), c))
         if n >= 1:
-            pre = bounds.prefix_upper_bound(n)
-            reports.append(BoundReport.at_most("count-below-prefix-bound", n, c, pre))
+            prefix[n] = bounds.prefix_upper_bound(n)
+            reports.append(BoundReport.at_most("count-below-prefix-bound", n, c, prefix[n]))
             km = bounds.km_upper_bound(n)
             reports.append(BoundReport.at_most("count-below-km-bound", n, c, km))
         if n >= 2 and n % 2 == 0:
-            cap = bounds.even_upper_bound(n // 2)
+            cap = bounds.parity_cap(n)
             name = "count-below-even-upper-bound"
             reports.append(BoundReport.at_most(name, n // 2, c, cap, f"rank {n}"))
     reports.extend(bounds.monotone_sequence_check(list(counts.items())))
     reports.extend(bounds.limit_report(list(counts.items())))
-    for k in range(1, max_n // 2 + 1):
-        reports.append(bounds.even_upper_bound_check(k))
+    for n in range(2, max_n + 1, 2):
+        name = "prefix-bound-below-even-upper-bound"
+        reports.append(BoundReport.at_most(name, n // 2, prefix[n], bounds.parity_cap(n), f"rank {n}"))
     for n in range(1, max_n + 1, 2):
-        reports.append(bounds.odd_exponent_check(n))
+        name = "log2-prefix-bound-below-odd-exponent"
+        note = "exact form: prefix bound <= 432^(2^((n-1)/2))"
+        reports.append(BoundReport.at_most(name, n, prefix[n], bounds.parity_cap(n), note))
     return reports
 
 

@@ -101,7 +101,7 @@ def test_criterion_04_bound_sandwich(capsys, totals):
         if n >= 1:
             ok = ok and c <= min(bounds.prefix_upper_bound(n), bounds.km_upper_bound(n))
     for k in (1, 2, 3):
-        ok = ok and totals[2 * k] <= bounds.even_upper_bound(k)
+        ok = ok and totals[2 * k] <= bounds.parity_cap(2 * k)
     _line(capsys, 4, ok, "lower/prefix/km/even-cap sandwich exact for n <= 6, k <= 3")
 
 
@@ -140,7 +140,7 @@ def test_criterion_08_longest_word_structure(capsys):
         ok = ok and lc.max_length == length_bound(n)
     ok = ok and longest[1].count == 1 and longest[3].count == 2 and longest[5].count == 8
     for n in (3, 5):
-        ok = ok and census.verify_odd_structure(n).holds
+        ok = ok and census._odd_structure_report(longest[n], longest[n - 2]).holds
         ok = ok and longest[n].count == 2 * longest[n - 2].count ** 2
     word = Word((2, 3, 1, 2, 4, 3), 4)
     ok = ok and is_canonical(word) and len(word) == longest[4].max_length

@@ -9,8 +9,6 @@ from kiselman import bounds, census, words
 from kiselman.bounds import (
     PI_UPPER,
     binomial_lemma_check,
-    even_upper_bound,
-    even_upper_bound_check,
     km_upper_bound,
     limit_report,
     lower_bound,
@@ -18,10 +16,11 @@ from kiselman.bounds import (
     monotone_sequence_check,
     multinomial,
     multinomial_identity_check,
-    odd_exponent_check,
+    parity_cap,
     prefix_upper_bound,
     scaled_log,
 )
+from kiselman.verify import run_suite
 from kiselman.words import ResourceGuardError, length_bound
 
 COUNTS = [(0, 1), (1, 2), (2, 5), (3, 18), (4, 115), (5, 1710), (6, 83973)]
@@ -107,9 +106,8 @@ BUDGETED = [
     (prefix_upper_bound, (27,), [(28,), (40,), (10**6,)]),
     (multinomial_identity_check, (13,), [(14,), (10**6,)]),
     (binomial_lemma_check, (10666, 2), [(10667, 2), (10**6, 2)]),
-    (even_upper_bound, (14,), [(15,), (10**6,)]),
-    (even_upper_bound_check, (13,), [(14,), (10**6,)]),
-    (odd_exponent_check, (27,), [(29,), (45,), (10**6 + 1,)]),
+    (parity_cap, (28,), [(30,), (10**6,)]),
+    (parity_cap, (28,), [(29,), (45,), (10**6 + 1,)]),
     (limit_report, ([(28, 1)],), [([(30, 1)],), ([(10**6, 1)],)]),
     (limit_report, ([(27, 1)],), [([(29, 1)],), ([(45, 1)],), ([(10**6 + 1, 1)],)]),
 ]
@@ -177,17 +175,20 @@ def test_binomial_sides_are_the_rational_ones_cleared():
             assert type(report.lhs) is type(report.rhs) is int
 
 
-def test_even_upper_bound():
-    assert even_upper_bound(1) == 2**12
-    assert even_upper_bound(3) == 2**48
-    with pytest.raises(ValueError):
-        even_upper_bound(0)
-    for k in (1, 2, 3):
-        assert even_upper_bound_check(k).holds
-    # the check names k, as the bound does, not the rank 2k it derives
-    for k in (0, -1):
-        with pytest.raises(ValueError, match=f"^need k >= 1, got {k}$"):
-            even_upper_bound_check(k)
+def _suite_reports(name):
+    return [(r.n_or_k, r.lhs, r.rhs, r.holds, r.note) for r in run_suite("bounds", 6) if r.name == name]
+
+
+def test_parity_cap():
+    assert [parity_cap(n) for n in range(7)] == [64, 432, 2**12, 432**2, 2**24, 432**4, 2**48]
+    with pytest.raises(ValueError, match="^rank must be nonnegative, got -1$"):
+        parity_cap(-1)
+    for n in range(1, 28):
+        assert prefix_upper_bound(n) <= parity_cap(n), n
+    # the bounds suite's even report names k, as the cap's exponent 2^k does, not the rank 2k
+    assert _suite_reports("prefix-bound-below-even-upper-bound") == [
+        (k, prefix_upper_bound(2 * k), parity_cap(2 * k), True, f"rank {2 * k}") for k in (1, 2, 3)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -208,12 +209,12 @@ def test_odd_exponent():
     # log2(432)/sqrt(2), the odd limit's bound, printed by the same routine
     assert scaled_log(1, 216) == "6.190640"
     for n in range(1, 16, 2):
-        report = odd_exponent_check(n)
-        assert report.holds
-        assert report.rhs == 432 ** (2 ** ((n - 1) // 2))
-        assert isinstance(report.lhs, int)
-    with pytest.raises(ValueError):
-        odd_exponent_check(4)
+        assert parity_cap(n) == 432 ** (2 ** ((n - 1) // 2))
+    # log2 of the prefix bound below log2(432) * 2^((n-1)/2), decided on the integers
+    note = "exact form: prefix bound <= 432^(2^((n-1)/2))"
+    assert _suite_reports("log2-prefix-bound-below-odd-exponent") == [
+        (n, prefix_upper_bound(n), parity_cap(n), True, note) for n in (1, 3, 5)
+    ]
 
 
 def test_monotone_sequence():

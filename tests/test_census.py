@@ -17,7 +17,6 @@ from kiselman.census import (
     iter_canonical,
     longest_census,
     verify_lower_bound_construction,
-    verify_odd_structure,
     verify_subalphabet_embedding,
 )
 from kiselman.words import ResourceGuardError, Word, _letter_masks, is_canonical, length_bound
@@ -286,23 +285,25 @@ def test_longest_counts_follow_odd_recursion():
     assert f[5] == 2 * f[3] ** 2
 
 
+def _odd_report(n):
+    return _odd_structure_report(longest_census(n), longest_census(n - 2))
+
+
 def test_odd_structure_reports():
-    for n in (3, 5):
-        report = verify_odd_structure(n)
+    for n in (3, 5, 7):
+        report = _odd_report(n)
         assert report.holds, report.note
-    with pytest.raises(ValueError):
-        verify_odd_structure(4)
+    # the factorization genuinely fails at even rank
+    assert not _odd_report(4).holds
 
 
 @pytest.mark.parametrize(
     ("call", "message"),
     [
         (lambda: longest_census(0), "need rank >= 1, got 0"),
-        (lambda: verify_odd_structure(4), "factorization of maximal words only holds for odd ranks, got 4"),
-        (lambda: verify_odd_structure(1), "need rank >= 3, got 1"),
         (lambda: verify_subalphabet_embedding(0), "need rank >= 1, got 0"),
     ],
-    ids=["longest_census", "verify_odd_structure-even", "verify_odd_structure-small", "verify_subalphabet_embedding"],
+    ids=["longest_census", "verify_subalphabet_embedding"],
 )
 def test_argument_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -311,7 +312,7 @@ def test_argument_refusals(call, message):
 
 def test_odd_structure_report_names_non_canonical_composites(monkeypatch):
     monkeypatch.setattr("kiselman.census.is_canonical", lambda word: False)
-    report = verify_odd_structure(3)
+    report = _odd_report(3)
     assert not report.holds
     assert report.note == "f(3) = 2, 2*f(1)^2 = 2; 2 failures, first: 'composite 2 1 3 2'"
 
@@ -443,7 +444,7 @@ def test_maximal_word_listing_holds_little_beyond_its_result():
 def test_small_listings_of_large_rank_allowed():
     # 32 768 maximal words at rank 9, and f(9) = 2 * f(7)^2, fit the budget
     assert longest_census(9).count == 32768
-    assert verify_odd_structure(9).holds
+    assert _odd_report(9).holds
 
 
 def test_census_json_roundtrip():

@@ -411,10 +411,21 @@ def test_public_api_is_pinned():
     assert sorted(kiselman.__all__) == [
         "BoundReport", "CanonicalViolation", "Census", "KElement", "LongestCensus",
         "ResourceGuardError", "Word", "__version__", "binomial_lemma_check", "canonical_form",
-        "canonical_violation", "certify_reducer", "congruence_closure", "count", "even_upper_bound",
-        "generators", "identity", "is_canonical", "iter_canonical", "km_upper_bound",
-        "length_bound", "limit_report", "longest_census", "lower_bound", "maximal_multiset",
+        "canonical_violation", "certify_reducer", "congruence_closure", "count", "generators",
+        "identity", "is_canonical", "iter_canonical", "km_upper_bound", "length_bound",
+        "limit_report", "longest_census", "lower_bound", "maximal_multiset",
         "monotone_sequence_check", "multinomial", "multinomial_identity_check", "multiply",
-        "prefix_upper_bound", "reports_to_csv", "reports_to_json", "run_suite", "scaled_log",
-        "verify_reducer_against_oracle",
+        "parity_cap", "prefix_upper_bound", "reports_to_csv", "reports_to_json", "run_suite",
+        "scaled_log", "verify_reducer_against_oracle",
     ]
+
+
+def test_traced_module_lists_are_pinned():
+    # the benchmark's tracer wraps every function these two lists name, so a change to
+    # either moves its per-layer bounds.* and reports.* figures
+    assert kiselman.bounds.__all__ == [
+        "PI_UPPER", "km_upper_bound", "lower_bound", "maximal_multiset", "multinomial",
+        "prefix_upper_bound", "multinomial_identity_check", "binomial_lemma_check", "parity_cap",
+        "scaled_log", "monotone_sequence_check", "limit_report",
+    ]
+    assert kiselman.reports.__all__ == ["BoundReport", "reports_to_json", "reports_to_csv", "format_value"]

@@ -135,6 +135,14 @@ def test_multiply_rank_mismatch():
         multiply(identity(2), identity(3))
 
 
+def test_multiplying_by_a_non_element_is_a_type_error():
+    # the product defers to the other operand, so Python names both types
+    g = generators(2)[0]
+    for other in (3, g.word):
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \*: 'KElement' and "):
+            g * other
+
+
 def test_generators_are_idempotent():
     for g in generators(4):
         assert (g * g).word == g.word
