@@ -9,15 +9,7 @@ computed with integers and rounded down, is a certified lower bound on
 its parity's growth constant.
 """
 
-from kiselman import (
-    count,
-    km_upper_bound,
-    limit_report,
-    lower_bound,
-    monotone_sequence_check,
-    prefix_upper_bound,
-    scaled_log,
-)
+from kiselman import count, km_upper_bound, lower_bound, prefix_upper_bound, run_suite, scaled_log
 
 MAX_RANK = 6
 
@@ -33,16 +25,20 @@ def main() -> None:
         km = km_upper_bound(n) if n else ""
         print(f"{n:>2} {lower_bound(n):>8} {c:>8} {pre:>14} {km:>12}")
 
+    # the bounds suite's reports on the doubling inequality and the parity limits
+    reports = run_suite("bounds", MAX_RANK)
+
     print()
     print("doubling inequality, exact integer form:")
-    for report in monotone_sequence_check(counts):
-        print(f"  {report.note}: {report.lhs} <= {report.rhs}")
+    for report in reports:
+        if report.name == "doubled-count-square-below-next":
+            print(f"  {report.note}: {report.lhs} <= {report.rhs}")
 
     print()
     print("scaled logarithms (rounded down) and limit estimates:")
     for n, c in counts:
         print(f"  n={n}: {scaled_log(n, c)}")
-    for r in limit_report(counts):
+    for r in reports:
         if r.name.endswith(("below-6", "sqrt2")):
             status = "holds" if r.holds else "FAILS"
             print(f"  {r.name} ({status}): {r.note}")

@@ -41,17 +41,12 @@ _HOMES = {
     "longest_census": "census",
     "congruence_closure": "oracle",
     "certify_reducer": "oracle",
-    "verify_reducer_against_oracle": "oracle",
     "lower_bound": "bounds",
     "km_upper_bound": "bounds",
     "prefix_upper_bound": "bounds",
     "parity_cap": "bounds",
     "maximal_multiset": "bounds",
     "multinomial": "bounds",
-    "multinomial_identity_check": "bounds",
-    "binomial_lemma_check": "bounds",
-    "monotone_sequence_check": "bounds",
-    "limit_report": "bounds",
     "scaled_log": "bounds",
     "run_suite": "verify",
     "reports_to_json": "reports",

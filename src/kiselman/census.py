@@ -13,7 +13,8 @@ integer (the transfer-matrix method), and lists no word; a state is one
 integer, ns << n | ng.  `longest_census` joins the maximal prefixes of
 half the maximal length with the maximal suffixes of their states, built
 backward from the last letter.  `iter_canonical`, a depth-first walk over
-every canonical word, cross-checks it.
+every canonical word, cross-checks it.  The module returns counts and
+words; the bounds and structure suites in `verify` report on them.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .bounds import prefix_upper_bound
-from .reports import BoundReport
-from .words import Word, _guard, _letter_masks, is_canonical, length_bound
+from .words import _guard, _letter_masks, length_bound
 
 __all__ = [
     "Census",
@@ -32,8 +32,6 @@ __all__ = [
     "iter_canonical",
     "count",
     "longest_census",
-    "verify_subalphabet_embedding",
-    "verify_lower_bound_construction",
 ]
 
 # a dataclass, unlike the other records: the benchmark's tests copy one with dataclasses.replace
@@ -178,97 +176,3 @@ def longest_census(n: int) -> LongestCensus:
     words = tuple(p + t for p, s in heads for t in tails[s])
     return LongestCensus(rank=n, max_length=best, count=len(words), words=words)
 
-
-def _odd_structure_report(outer: LongestCensus, inner: LongestCensus) -> BoundReport:
-    # the maximal words of an odd rank n >= 3 (outer) split as w (1 n) w' or w (n 1) w'
-    # with w, w' maximal over {2, ..., n-1}, those of rank n - 2 shifted up (inner); every
-    # such composite is canonical and maximal, so f(n) = 2 f(n-2)^2. Even ranks break it
-    n = outer.rank
-    inner_shifted = {tuple(x + 1 for x in w) for w in inner.words}
-    half = length_bound(n - 2)
-    failures: list[str] = []
-    for u in outer.words:
-        middle = set(u[half : half + 2])
-        w, w_prime = u[:half], u[half + 2 :]
-        if middle != {1, n} or w not in inner_shifted or w_prime not in inner_shifted:
-            failures.append(" ".join(map(str, u)))
-    for w in inner_shifted:
-        for w_prime in inner_shifted:
-            for mid in ((1, n), (n, 1)):
-                u = w + mid + w_prime
-                if len(u) != outer.max_length or not is_canonical(Word(u, n)):
-                    failures.append("composite " + " ".join(map(str, u)))
-    expected = 2 * inner.count**2
-    holds = not failures and outer.count == expected
-    note = f"f({n}) = {outer.count}, 2*f({n - 2})^2 = {expected}"
-    if failures:
-        note += f"; {len(failures)} failures, first: {failures[0]!r}"
-    return BoundReport(
-        name="maximal-words-factor-as-w-1-n-w",
-        n_or_k=n,
-        lhs=expected,
-        rhs=outer.count,
-        holds=holds,
-        note=note,
-    )
-
-
-def verify_subalphabet_embedding(n: int) -> BoundReport:
-    """Check that dropping a top or bottom letter embeds the smaller rank.
-
-    The canonical words of rank n avoiding letter n must be exactly the
-    canonical words of rank n-1, likewise those avoiding letter 1 after
-    shifting every letter down; in particular counts are monotone in rank.
-    """
-    if n < 1:
-        raise ValueError(f"need rank >= 1, got {n}")
-    # the three sets held list rank n-1; rank n is walked before rank n-1, so its guard refuses early
-    _guard(count(n - 1).total * length_bound(n - 1), f"rank {n - 1} word sets")
-    without_top, without_bottom = set(), set()
-    # the empty word comes first, so total is always bound
-    for total, w in enumerate(iter_canonical(n), 1):
-        if n not in w:
-            without_top.add(w)
-        if 1 not in w:
-            without_bottom.add(tuple(x - 1 for x in w))
-    smaller = set(iter_canonical(n - 1))
-    holds = without_top == smaller and without_bottom == smaller and len(smaller) <= total
-    return BoundReport(
-        name="subalphabet-words-embed-smaller-rank",
-        n_or_k=n,
-        lhs=len(smaller),
-        rhs=total,
-        holds=holds,
-        note=f"words avoiding letter n: {len(without_top)}, avoiding letter 1: {len(without_bottom)}",
-    )
-
-
-def verify_lower_bound_construction(n: int) -> BoundReport:
-    """Check the doubling construction behind count(n+2) >= 2 * count(n)^2.
-
-    For every ordered pair (w, w') of canonical words shifted into the
-    inner alphabet {2, ..., n+1}, both w 1 (n+2) w' and w (n+2) 1 w' must
-    be canonical, and all composites pairwise distinct.
-    """
-    _guard(2 * count(n).total ** 2 * (2 * length_bound(n) + 2), f"rank {n + 2} doubling composites")
-    inner = [tuple(x + 1 for x in w) for w in iter_canonical(n)]
-    composites = set()
-    failures = 0
-    for w in inner:
-        for w_prime in inner:
-            for mid in ((1, n + 2), (n + 2, 1)):
-                u = w + mid + w_prime
-                if not is_canonical(Word(u, n + 2)):
-                    failures += 1
-                composites.add(u)
-    expected = 2 * len(inner) ** 2
-    total = count(n + 2).total
-    holds = failures == 0 and len(composites) == expected and expected <= total
-    return BoundReport(
-        name="2-count-squared-below-count-n-plus-2",
-        n_or_k=n,
-        lhs=expected,
-        rhs=total,
-        holds=holds,
-        note=f"{len(composites)} distinct composites, {failures} non-canonical",
-    )

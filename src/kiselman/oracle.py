@@ -10,18 +10,17 @@ reduction rule is validated; it assumes nothing about the rule itself.
 The reducer checked is the iterated leftmost deletion of
 `reduce._deletion_index`, which `canonical_form` computes word by word
 and the certification computes for the whole universe in one walk over
-the canonical prefixes.
+the canonical prefixes.  `certify_reducer` returns its outcome as counts
+and violations; the reducer suite in `verify` reports on it.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from itertools import accumulate, product, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from . import reduce
-from .reports import BoundReport
 from .words import _first_owed, _guard, _letter_masks
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "OracleCertification",
     "congruence_closure",
     "certify_reducer",
-    "verify_reducer_against_oracle",
 ]
 
 class CongruenceClass(NamedTuple):
@@ -342,29 +340,3 @@ def certify_reducer(n: int, max_len: int) -> OracleCertification:
         reduced_by_memo=by_memo,
     )
 
-
-def verify_reducer_against_oracle(n: int, max_len: int) -> BoundReport:
-    """BoundReport form of the reducer certification.
-
-    lhs is the number of congruence classes, rhs the number of canonical
-    words in the universe; the check passes iff they agree and the reducer
-    maps every member of every class to its canonical member.
-    """
-    cert = certify_reducer(n, max_len)
-    note = f"words of length <= {cert.max_len}"
-    if cert.retried:
-        note += (
-            f" (classes recomputed with cap {cert.max_len + 2}, then restricted "
-            f"to those reaching length <= {cert.max_len})"
-        )
-    if cert.violations:
-        sample = json.dumps(list(cert.violations[:3]))
-        note += f"; {len(cert.violations)} violations, first: {sample}"
-    return BoundReport(
-        name="congruence-classes-equal-canonical-words",
-        n_or_k=n,
-        lhs=cert.classes,
-        rhs=cert.canonical_words,
-        holds=cert.holds,
-        note=note,
-    )

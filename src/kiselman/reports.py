@@ -1,10 +1,11 @@
 """Structured check reports with JSON and CSV emission.
 
-Every verification in this package reports an exact comparison of lhs
-with rhs (direction and meaning recorded in the name), built by
-`BoundReport.at_most` (lhs <= rhs) or `BoundReport.equal` (lhs == rhs),
-which derive `holds` from those values.  Only compound verdicts use the
-plain constructor: the census structure checks, the oracle certification,
+The verify suites build every report, and no other module does.  Each
+reports an exact comparison of lhs with rhs (direction and meaning
+recorded in the name), built by `BoundReport.at_most` (lhs <= rhs) or
+`BoundReport.equal` (lhs == rhs), which derive `holds` from those values.
+Only compound verdicts use the plain constructor: the structure suite's
+factorization, embedding and doubling checks, the reducer certification,
 the rank-4 counterexample and the always-holding printed-closed-form WARN.
 Values are `int`: `at_most`, `equal` and emission raise TypeError on any
 other.  They are serialized as decimal strings, so downstream consumers

@@ -105,9 +105,14 @@ def test_criterion_04_bound_sandwich(capsys, totals):
     _line(capsys, 4, ok, "lower/prefix/km/even-cap sandwich exact for n <= 6, k <= 3")
 
 
+def _named(reports, prefix):
+    return [r for r in reports if r.name.startswith(prefix)]
+
+
 def test_criterion_05_recursion_inequality(capsys, totals, monkeypatch, tmp_path):
-    reports = bounds.monotone_sequence_check(list(totals.items()))
+    reports = _named(verify.bounds_suite(6), "doubled-count-square-below-next")
     ok = len(reports) == 5 and all(r.holds for r in reports)
+    ok = ok and all((r.lhs, r.rhs) == ((2 * totals[r.n_or_k]) ** 2, 2 * totals[r.n_or_k + 2]) for r in reports)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["table", "--max-n", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()[1:]
@@ -119,17 +124,17 @@ def test_criterion_05_recursion_inequality(capsys, totals, monkeypatch, tmp_path
 
 
 def test_criterion_06_multinomial_identity(capsys):
-    reports = [bounds.multinomial_identity_check(k) for k in range(1, 9)]
-    ok = all(r.holds and r.lhs == r.rhs for r in reports)
+    reports = _named(verify.identities_suite(6), "multiset-multinomial-equals-binomial-product")
+    ok = [r.n_or_k for r in reports] == list(range(1, 9)) and all(r.holds and r.lhs == r.rhs for r in reports)
     _line(capsys, 6, ok, "multiset multinomial equals the binomial product for k = 1..8")
 
 
 def test_criterion_07_binomial_lemma(capsys):
-    ok = all(
-        bounds.binomial_lemma_check(N, part).holds
-        for N in range(1, 65)
-        for part in (1, 2, 3)
-    )
+    reports = _named(verify.identities_suite(6), "binomial-estimate-part-")
+    ok = sorted((r.n_or_k, r.name) for r in reports) == [
+        (N, f"binomial-estimate-part-{part}") for N in range(1, 65) for part in (1, 2, 3)
+    ]
+    ok = ok and all(r.holds for r in reports)
     _line(capsys, 7, ok, "all three binomial estimates as exact integer inequalities for N = 1..64")
 
 
@@ -139,17 +144,15 @@ def test_criterion_08_longest_word_structure(capsys):
     for n, lc in longest.items():
         ok = ok and lc.max_length == length_bound(n)
     ok = ok and longest[1].count == 1 and longest[3].count == 2 and longest[5].count == 8
+    structure = verify.structure_suite(5)
+    factored = _named(structure, "maximal-words-factor-as-w-1-n-w")
+    ok = ok and [(r.n_or_k, r.holds) for r in factored] == [(3, True), (5, True)]
     for n in (3, 5):
-        ok = ok and census._odd_structure_report(longest[n], longest[n - 2]).holds
         ok = ok and longest[n].count == 2 * longest[n - 2].count ** 2
     word = Word((2, 3, 1, 2, 4, 3), 4)
     ok = ok and is_canonical(word) and len(word) == longest[4].max_length
     ok = ok and set(word.letters[2:4]) != {1, 4}
-    warned = [
-        r
-        for r in verify.structure_suite(5)
-        if r.name == "longest-count-vs-printed-closed-form"
-    ]
+    warned = _named(structure, "longest-count-vs-printed-closed-form")
     ok = ok and len(warned) == 2
     ok = ok and all(r.holds and r.note.startswith("WARN") for r in warned)
     ok = ok and [r.rhs for r in warned] == [8, 128]

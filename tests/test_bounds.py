@@ -8,14 +8,10 @@ import pytest
 from kiselman import bounds, census, words
 from kiselman.bounds import (
     PI_UPPER,
-    binomial_lemma_check,
     km_upper_bound,
-    limit_report,
     lower_bound,
     maximal_multiset,
-    monotone_sequence_check,
     multinomial,
-    multinomial_identity_check,
     parity_cap,
     prefix_upper_bound,
     scaled_log,
@@ -67,34 +63,38 @@ def test_prefix_upper_bound_values():
     assert prefix_upper_bound(5) == 11 * 37800
 
 
+def _identities(name):
+    # the identities suite's fixed checks, which its max_n does not reach
+    return [r for r in run_suite("identities", 0) if r.name.startswith(name)]
+
+
 def test_multinomial_identity():
-    for k in range(1, 9):
-        report = multinomial_identity_check(k)
+    reports = _identities("multiset-multinomial-equals-binomial-product")
+    assert [r.n_or_k for r in reports] == list(range(1, 9))
+    for k, report in enumerate(reports, 1):
         assert report.holds
-        assert report.lhs == report.rhs
+        assert report.lhs == report.rhs == multinomial(list(maximal_multiset(2 * k).values()))
     # k = 2 by hand: multinomial(6; 1,2,2,1) = 180 = C(2,1)C(1,1) * C(6,2)C(4,2)
-    assert multinomial_identity_check(2).lhs == 180
+    assert reports[1].lhs == 180
+
+
+def _binomials():
+    # (N, part) -> the suite's report on that binomial estimate
+    return {(r.n_or_k, int(r.name[-1])): r for r in _identities("binomial-estimate-part-")}
 
 
 def test_binomial_lemma_all_parts():
-    for N in range(1, 65):
-        for part in (1, 2, 3):
-            report = binomial_lemma_check(N, part)
-            assert report.holds, (N, part)
+    reports = _binomials()
+    assert sorted(reports) == [(N, part) for N in range(1, 65) for part in (1, 2, 3)]
+    for key, report in reports.items():
+        assert report.holds, key
 
 
 def test_binomial_lemma_exact_rational():
-    report = binomial_lemma_check(1, 1)
+    report = _binomials()[1, 1]
     assert (report.lhs, report.rhs) == (4 * 355, 113 * 16) == (1420, 1808)
-    report = binomial_lemma_check(2, 3)
+    report = _binomials()[2, 3]
     assert report.lhs == 15 * 16 and report.rhs == 27**2
-
-
-def test_binomial_lemma_validation():
-    with pytest.raises(ValueError):
-        binomial_lemma_check(0, 1)
-    with pytest.raises(ValueError):
-        binomial_lemma_check(3, 4)
 
 
 # (entry point, its last admitted arguments, its refused ones) under the default budget: the
@@ -104,12 +104,8 @@ BUDGETED = [
     (lower_bound, (32,), [(33,), (70,), (10**6,)]),
     (km_upper_bound, (27,), [(28,), (40,), (10**6,)]),
     (prefix_upper_bound, (27,), [(28,), (40,), (10**6,)]),
-    (multinomial_identity_check, (13,), [(14,), (10**6,)]),
-    (binomial_lemma_check, (10666, 2), [(10667, 2), (10**6, 2)]),
     (parity_cap, (28,), [(30,), (10**6,)]),
     (parity_cap, (28,), [(29,), (45,), (10**6 + 1,)]),
-    (limit_report, ([(28, 1)],), [([(30, 1)],), ([(10**6, 1)],)]),
-    (limit_report, ([(27, 1)],), [([(29, 1)],), ([(45, 1)],), ([(10**6 + 1, 1)],)]),
 ]
 
 
@@ -164,13 +160,14 @@ def test_pi_upper_is_upper():
 def test_binomial_sides_are_the_rational_ones_cleared():
     # the sides as exact rationals with pi replaced by 355/113, times 113 for part 1 and 113^2 for part 2
     pi = Fraction(355, 113)
+    reports = _binomials()
     for N in range(1, 65):
         rational = {
             1: (Fraction(math.comb(2 * N, N) ** 2 * N) * pi, Fraction(2 ** (4 * N))),
             2: (Fraction(math.comb(4 * N, N) ** 2 * math.comb(3 * N, N) ** 2 * N**2 * 2) * pi**2, Fraction(2 ** (12 * N))),
         }
         for part, sides in rational.items():
-            report = binomial_lemma_check(N, part)
+            report = reports[N, part]
             assert (report.lhs, report.rhs) == tuple(113**part * side for side in sides)
             assert type(report.lhs) is type(report.rhs) is int
 
@@ -196,9 +193,8 @@ def test_parity_cap():
     [
         (lambda: maximal_multiset(0), "need rank >= 1, got 0"),
         (lambda: prefix_upper_bound(-1), "rank must be nonnegative, got -1"),
-        (lambda: multinomial_identity_check(0), "need k >= 1, got 0"),
     ],
-    ids=["maximal_multiset", "prefix_upper_bound", "multinomial_identity_check"],
+    ids=["maximal_multiset", "prefix_upper_bound"],
 )
 def test_argument_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -218,19 +214,14 @@ def test_odd_exponent():
 
 
 def test_monotone_sequence():
-    reports = monotone_sequence_check(COUNTS)
-    assert len(reports) == 5
-    assert all(r.holds for r in reports)
-    # (2*2)^2 = 16 <= 2*18 = 36 for the pair (1, 3)
-    pair = next(r for r in reports if r.n_or_k == 1)
-    assert (pair.lhs, pair.rhs) == (16, 36)
-    pair = next(r for r in reports if r.n_or_k == 0)
-    assert (pair.lhs, pair.rhs) == (4, 10)
-
-
-def test_monotone_sequence_missing_pair():
-    with pytest.raises(ValueError):
-        monotone_sequence_check([(1, 2), (5, 1710)])
+    reports = _suite_reports("doubled-count-square-below-next")
+    # within each parity, evens first: (2*count(n))^2 vs 2*count(n+2)
+    counts = dict(COUNTS)
+    assert reports == [
+        (n, (2 * counts[n]) ** 2, 2 * counts[n + 2], True, f"(2*count({n}))^2 vs 2*count({n + 2})") for n in (0, 2, 4, 1, 3)
+    ]
+    # (2*2)^2 = 16 <= 2*18 = 36 for the pair (1, 3), and 4 <= 10 for (0, 2)
+    assert reports[3][1:3] == (16, 36) and reports[0][1:3] == (4, 10)
 
 
 def test_scaled_log_values():
@@ -247,7 +238,7 @@ def test_negative_rank_is_refused_by_name(n):
     # lower_bound's message, not a bare shift's "negative shift count" or a
     # scaled log of a rank that does not exist
     message = f"^rank must be nonnegative, got {n}$"
-    for call in (lambda: lower_bound(n), lambda: scaled_log(n, 5), lambda: limit_report([(n, 1)])):
+    for call in (lambda: lower_bound(n), lambda: scaled_log(n, 5), lambda: parity_cap(n)):
         with pytest.raises(ValueError, match=message):
             call()
 
@@ -288,8 +279,12 @@ def test_scaled_log_passes_exact_power_tests(n):
 
 
 def test_limit_report():
-    reports = limit_report(COUNTS)
-    assert all(r.holds for r in reports)
+    assert _suite_reports("count-monotone-in-rank") == [
+        (n, c, COUNTS[n + 1][1], True, f"count({n}) <= count({n + 1})") for n, c in COUNTS[:-1]
+    ]
+    reports = [r for r in run_suite("bounds", 6) if r.name.endswith(("below-6", "sqrt2"))]
+    # the latest even and odd ranks, 2*count(n) against the parity cap
+    assert [(r.n_or_k, r.lhs, r.rhs, r.holds) for r in reports] == [(6, 2 * 83973, 2**48, True), (5, 2 * 1710, 432**4, True)]
     evens = [Fraction(scaled_log(n, c)) for n, c in COUNTS if n % 2 == 0]
     odds = [Fraction(scaled_log(n, c)) for n, c in COUNTS if n % 2 == 1]
     assert evens == sorted(evens)

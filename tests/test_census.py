@@ -7,17 +7,14 @@ from collections import Counter
 import pytest
 
 import kiselman
-from kiselman import census
+from kiselman import census, verify
 from kiselman.bounds import km_upper_bound, lower_bound, prefix_upper_bound
 from kiselman.census import (
     Census,
     _extension_table,
-    _odd_structure_report,
     count,
     iter_canonical,
     longest_census,
-    verify_lower_bound_construction,
-    verify_subalphabet_embedding,
 )
 from kiselman.words import ResourceGuardError, Word, _letter_masks, is_canonical, length_bound
 
@@ -286,13 +283,19 @@ def test_longest_counts_follow_odd_recursion():
 
 
 def _odd_report(n):
-    return _odd_structure_report(longest_census(n), longest_census(n - 2))
+    # the structure suite's per-rank factorization check, run past the ranks the suite reaches
+    return verify._factor_report(longest_census(n), longest_census(n - 2))
+
+
+def _structure(max_n, name):
+    return [r for r in verify.structure_suite(max_n) if r.name == name]
 
 
 def test_odd_structure_reports():
-    for n in (3, 5, 7):
-        report = _odd_report(n)
-        assert report.holds, report.note
+    reports = _structure(5, "maximal-words-factor-as-w-1-n-w")
+    assert [(r.n_or_k, r.lhs, r.rhs, r.holds) for r in reports] == [(3, 2, 2, True), (5, 8, 8, True)]
+    report = _odd_report(7)
+    assert report.holds, report.note
     # the factorization genuinely fails at even rank
     assert not _odd_report(4).holds
 
@@ -301,9 +304,8 @@ def test_odd_structure_reports():
     ("call", "message"),
     [
         (lambda: longest_census(0), "need rank >= 1, got 0"),
-        (lambda: verify_subalphabet_embedding(0), "need rank >= 1, got 0"),
     ],
-    ids=["longest_census", "verify_subalphabet_embedding"],
+    ids=["longest_census"],
 )
 def test_argument_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -311,41 +313,63 @@ def test_argument_refusals(call, message):
 
 
 def test_odd_structure_report_names_non_canonical_composites(monkeypatch):
-    monkeypatch.setattr("kiselman.census.is_canonical", lambda word: False)
-    report = _odd_report(3)
+    monkeypatch.setattr("kiselman.verify.is_canonical", lambda word: False)
+    (report,) = _structure(3, "maximal-words-factor-as-w-1-n-w")
     assert not report.holds
     assert report.note == "f(3) = 2, 2*f(1)^2 = 2; 2 failures, first: 'composite 2 1 3 2'"
 
 
-def test_odd_structure_report_names_unfactored_words():
+def test_odd_structure_report_names_unfactored_words(monkeypatch):
     # drop the inner word 2 1 3 2: the six maximal words of rank 5 built
     # from its shift 3 2 4 3 no longer factor, although the counts agree
-    inner = longest_census(3)
-    report = _odd_structure_report(longest_census(5), inner._replace(words=inner.words[1:]))
-    assert not report.holds
+    real = census.longest_census
+
+    def dropped(n):
+        lc = real(n)
+        return lc._replace(words=lc.words[1:]) if n == 3 else lc
+
+    monkeypatch.setattr(census, "longest_census", dropped)
+    reports = _structure(5, "maximal-words-factor-as-w-1-n-w")
+    # rank 3's own words all factor, and its composites are all canonical
+    assert [r.holds for r in reports] == [True, False]
+    report = reports[1]
     assert report.lhs == report.rhs == 8
     assert report.note == "f(5) = 8, 2*f(3)^2 = 8; 6 failures, first: '3 2 4 3 1 5 3 2 4 3'"
 
 
 def test_subalphabet_embedding():
-    for n in range(2, 6):
-        report = verify_subalphabet_embedding(n)
+    reports = _structure(5, "subalphabet-words-embed-smaller-rank")
+    assert [(r.n_or_k, r.lhs, r.rhs) for r in reports] == [(n, KNOWN_TOTALS[n - 1], KNOWN_TOTALS[n]) for n in range(2, 6)]
+    for report in reports:
         assert report.holds, report.note
 
 
 def test_lower_bound_construction():
-    for n in range(4):
-        report = verify_lower_bound_construction(n)
+    reports = _structure(6, "2-count-squared-below-count-n-plus-2")
+    assert [r.n_or_k for r in reports] == list(range(5))
+    for n, report in enumerate(reports):
         assert report.holds, report.note
         assert report.lhs == 2 * KNOWN_TOTALS[n] ** 2
         assert report.rhs == KNOWN_TOTALS[n + 2]
 
 
 def test_lower_bound_construction_counts_non_canonical_composites(monkeypatch):
-    monkeypatch.setattr("kiselman.census.is_canonical", lambda word: False)
-    report = verify_lower_bound_construction(1)
-    assert not report.holds
-    assert report.note == "8 distinct composites, 8 non-canonical"
+    monkeypatch.setattr("kiselman.verify.is_canonical", lambda word: False)
+    reports = _structure(3, "2-count-squared-below-count-n-plus-2")
+    assert [(r.holds, r.note) for r in reports] == [
+        (False, "2 distinct composites, 2 non-canonical"),
+        (False, "8 distinct composites, 8 non-canonical"),
+    ]
+
+
+def test_doubling_composites_are_weighed_before_they_are_listed(monkeypatch):
+    # rank 4's 2 * 115^2 composites of up to 14 letters weigh 370 300; nothing else the
+    # structure suite lists up to rank 6 weighs as much
+    monkeypatch.setattr("kiselman.words.BUDGET", 2 * 115**2 * 14 - 1)
+    with pytest.raises(ResourceGuardError, match="^rank 6 doubling composites refused"):
+        verify.structure_suite(6)
+    monkeypatch.setattr("kiselman.words.BUDGET", 2 * 115**2 * 14)
+    assert not verify.failing(verify.structure_suite(6))
 
 
 def test_rank_guard():
@@ -359,12 +383,12 @@ def test_rank_guard():
     "call",
     [
         lambda: next(iter_canonical(7)),
-        lambda: verify_lower_bound_construction(5),
-        lambda: verify_subalphabet_embedding(7),
+        # the structure suite's subalphabet embedding of rank 7
+        lambda: verify.structure_suite(7),
         lambda: longest_census(10),
         lambda: longest_census(8),
     ],
-    ids=["iter_canonical", "lower_bound", "embedding", "longest", "longest_letters"],
+    ids=["iter_canonical", "embedding", "longest", "longest_letters"],
 )
 def test_listing_refused_by_its_size(call):
     # each refusal comes from the census DP's exact size, before any long listing
@@ -374,22 +398,22 @@ def test_listing_refused_by_its_size(call):
 
 
 def test_embedding_refused_before_the_smaller_rank_is_drawn(monkeypatch):
-    drawn = set()
+    drawn = []
 
     def recording(walk):
         def wrapped(n):
             for i, word in enumerate(walk(n)):
                 if i == 0:
-                    drawn.add(n)
+                    drawn.append(n)
                 yield word
 
         return wrapped
 
     monkeypatch.setattr(census, "iter_canonical", recording(census.iter_canonical))
     with pytest.raises(ResourceGuardError, match="rank 7 word listing"):
-        verify_subalphabet_embedding(7)
-    assert drawn == set()
-    assert verify_subalphabet_embedding(3).holds and drawn == {2, 3}
+        verify.structure_suite(7)
+    # each embedding walks rank n, then rank n - 1; rank 7's is refused before rank 6 is drawn for it
+    assert drawn == [2, 1, 3, 2, 4, 3, 5, 4, 6, 5]
 
 
 def test_no_callable_takes_an_override():

@@ -22,14 +22,13 @@ from itertools import product
 
 import pytest
 
-from kiselman import oracle, reduce, words
+from kiselman import oracle, reduce, verify, words
 from kiselman.census import count
 from kiselman.oracle import (
     CongruenceClass,
     OracleCertification,
     certify_reducer,
     congruence_closure,
-    verify_reducer_against_oracle,
 )
 from kiselman.reduce import canonical_form
 from kiselman.words import ResourceGuardError, Word, is_canonical
@@ -255,11 +254,19 @@ def test_certification_retries_on_split_classes():
     assert cert.classes == cert.canonical_words == 18
 
 
-def test_report_form():
-    report = verify_reducer_against_oracle(2, 6)
+def _reducer_report(n, max_len, monkeypatch):
+    # the reducer suite's report on the one universe (n, max_len)
+    monkeypatch.setattr(verify, "REDUCER_CHECKS", ((n, max_len),))
+    (report,) = verify.run_suite("reducer", n)
+    return report
+
+
+def test_report_form(monkeypatch):
+    report = _reducer_report(2, 6, monkeypatch)
     assert report.holds
     assert report.lhs == report.rhs == 5
     assert report.name == "congruence-classes-equal-canonical-words"
+    assert report.note == "words of length <= 6"
 
 
 def test_universe_guard(monkeypatch):
@@ -280,7 +287,7 @@ def test_universe_guard(monkeypatch):
     assert len(congruence_closure(2, 6)) == 5
 
 
-@pytest.mark.parametrize("entry", [congruence_closure, certify_reducer, verify_reducer_against_oracle])
+@pytest.mark.parametrize("entry", [congruence_closure, certify_reducer])
 def test_negative_cap_is_refused(entry):
     # a negative cap has no words to certify; it must not pass as a vacuous hold
     for n, max_len in ((2, -1), (3, -2)):
@@ -551,7 +558,7 @@ def test_memo_catches_reducer_fault_past_the_cap(monkeypatch):
 
 def test_report_names_violations(monkeypatch):
     _wrong_past(4, monkeypatch)
-    report = verify_reducer_against_oracle(3, 4)
+    report = _reducer_report(3, 4, monkeypatch)
     assert not report.holds
     violations = certify_reducer(3, 4).violations
     assert f"; {len(violations)} violations, first: {json.dumps(list(violations[:3]))}" in report.note
@@ -574,7 +581,7 @@ def test_classes_without_a_canonical_member_are_violations(monkeypatch):
     cert = certify_reducer(2, 3)
     assert cert.retried and not cert.holds
     assert cert.violations == tuple({"kind": "no_canonical_member", "class_rep": r} for r in ("1", "2", "1 2", "2 1"))
-    report = verify_reducer_against_oracle(2, 3)
+    report = _reducer_report(2, 3, monkeypatch)
     assert not report.holds
     assert f"; 4 violations, first: {json.dumps(list(cert.violations[:3]))}" in report.note
 
