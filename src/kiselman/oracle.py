@@ -225,7 +225,8 @@ def _canonical_by_class(root: list[int], kept: int, red: list[int]) -> dict[int,
 
 def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
     """Extend red, which holds the words shorter than first, over the words
-    of length first..last, one step per run."""
+    of length first..last, one step per run.  A run at the last position
+    is one word: it is stepped as it is and its entry is set by index."""
     step = reduce._deletion_index  # the reducer's own lookup, patched or not
     masks = _letter_masks(n)
     power, offset = _layout(n, last)
@@ -239,10 +240,16 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
         while stack:
             prefix, value, ns, ng = stack.pop()
             e = len(prefix)
+            if e + 1 == ell:  # each extension is a run of one word: step it as it is
+                for x in range(1, n + 1):
+                    v = value * n + x - 1
+                    d = step(prefix + (x,), masks)
+                    red[here + v] = here + v if d is None else red[shorter + cut(v, power[e - d])]
+                continue
             for x in range(1, n + 1):
                 bit, keep_ns, keep_ng = masks[x]
                 w, v = prefix + (x,), value * n + x - 1
-                if e + 1 < ell and not (ns | ng) & bit:
+                if not (ns | ng) & bit:
                     stack.append((w, v, (ns & keep_ns) | bit, (ng & keep_ng) | bit))
                     continue
                 run = power[ell - 1 - e]

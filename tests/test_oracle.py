@@ -18,6 +18,7 @@ word.
 
 import json
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -463,6 +464,51 @@ def test_memo_catches_a_deletion_past_the_shared_prefix(monkeypatch):
     cert = certify_reducer(3, 4)
     assert not cert.holds and len(cert.violations) == 508
     assert _fields(cert) == _fields(reference_certify(3, 4))
+
+
+# faults where the owed-state pass stops at the word's last letter, which
+# only the one-word runs step: a claim that the word is canonical, and a
+# deletion of the other occurrence of the pair
+LAST_LETTER_FAULTS = {
+    "none": lambda letters, idx: None,
+    "other": lambda letters, idx: words._previous(letters, idx) if idx == len(letters) - 1 else len(letters) - 1,
+}
+
+
+@pytest.mark.parametrize("fault", LAST_LETTER_FAULTS)
+@pytest.mark.parametrize("n,max_len", [(5, 3), (6, 3), (2, 7)])
+def test_faults_at_the_last_letter_fail_the_certification(n, max_len, fault, monkeypatch):
+    # none of these pairs retries, so _wrong_past's faults past the cap never reach them
+    step = reduce._deletion_index
+
+    def faulty(letters, masks):
+        idx = step(letters, masks)
+        hit = words._first_owed(letters, masks)
+        return LAST_LETTER_FAULTS[fault](letters, idx) if hit and hit[0] == len(letters) - 1 else idx
+
+    monkeypatch.setattr(reduce, "_deletion_index", faulty)
+    cert = certify_reducer(n, max_len)
+    assert not cert.retried and not cert.holds
+    kind = "multiple_canonical_members" if fault == "none" else "reducer_mismatch"
+    assert {v["kind"] for v in cert.violations} == {kind}
+    red, expected = [0], [0]
+    oracle._reduce_walk(n, 1, max_len, red)
+    reference_memo(n, 1, max_len, expected)
+    assert red == expected
+
+
+def test_certification_peak_memory_is_pinned():
+    # the walk holds no per-call table beside the memo and the closure: a 736 KiB
+    # peak on Python 3.11 with the cached transition tables filled beforehand,
+    # and the bound allows 9% over it
+    certify_reducer(5, 4)
+    tracemalloc.start()
+    try:
+        certify_reducer(5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 800 * 1024, f"{peak / 1024:.0f} KiB"
 
 
 @pytest.mark.parametrize("n,max_len,calls", [(3, 4, 74), (4, 4, 524), (5, 4, 2850)])
