@@ -8,10 +8,10 @@ contain exactly one canonical word and the reducer must map every member
 onto it.  This is the independent ground truth against which the
 reduction rule is validated; it assumes nothing about the rule itself.
 The reducer checked is the iterated leftmost deletion of
-`reduce._deletion_index`, which `canonical_form` computes word by word
-and the certification computes for the whole universe in one walk over
-the canonical prefixes.  `certify_reducer` returns its outcome as counts
-and violations; the reducer suite in `verify` reports on it.
+`reduce._deletion_index`: `canonical_form` resumes it at each deleted
+index of one word, and the certification steps it from position 0 over
+the whole universe, in one walk over the canonical prefixes.
+`certify_reducer` returns counts and violations; `verify` reports them.
 """
 
 from __future__ import annotations

@@ -43,13 +43,14 @@ class KElement(_Value):
 
 
 def _deletion_index(
-    letters: Sequence[int], masks: tuple[tuple[int, int, int] | None, ...]
+    letters: Sequence[int], masks: tuple[tuple[int, int, int] | None, ...], trail: list[tuple[int, int]] | None = None
 ) -> int | None:
     # Leftmost reducible pair of consecutive equal letters, ordered by the
     # position of the second occurrence: the first letter the owed-state
     # pass stops at.  Returns the index to delete.  Letters are any
-    # sequence; masks is `_letter_masks`' table, None at entry 0.
-    hit = _first_owed(letters, masks)
+    # sequence; masks is `_letter_masks`' table, None at entry 0.  A trail
+    # resumes the pass; without one the pass is called as before, with two arguments.
+    hit = _first_owed(letters, masks) if trail is None else _first_owed(letters, masks, trail)
     if hit is None:
         return None
     j, owes_smaller = hit
@@ -62,17 +63,19 @@ def canonical_form(word: Word) -> KElement:
     """Reduce to the unique canonical word by iterated deletion.
 
     The letters are held in a list and each deletion is made in place, so
-    no step builds a new word; each step scans again from position 0.  Each
-    step shortens the word, so this terminates; the fixed point is checked
-    once, by the element's own validation against the canonicity predicate
-    (a failure would mean the reducer and the predicate disagree and must
-    surface loudly, not be papered over).
+    no step builds a new word; after deleting index d the pass resumes at d,
+    from the owed state a trail keeps before each position, which the
+    letters before it alone fix.  Each step shortens the word, so this
+    terminates; the fixed point is checked once, by the element's own
+    validation against the canonicity predicate (a failure would mean the
+    reducer and the predicate disagree and must surface loudly).
     """
     masks = _letter_masks(word.rank)
     letters = list(word.letters)
+    trail = [(0, 0)]  # trail[k]: the owed state (ns, ng) before letters[k]
     # the step is a global, looked up at each call: a patched step is the one run
-    while (idx := _deletion_index(letters, masks)) is not None:
-        del letters[idx]
+    while (idx := _deletion_index(letters, masks, trail)) is not None:
+        del letters[idx], trail[idx + 1 :]  # the letters first: an index past the end raises
     return KElement(Word(tuple(letters), word.rank))
 
 

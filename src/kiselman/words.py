@@ -175,7 +175,7 @@ def _build_letter_masks(n: int) -> tuple[tuple[int, int, int] | None, ...]:
 
 
 def _first_owed(
-    letters: Sequence[int], masks: tuple[tuple[int, int, int] | None, ...]
+    letters: Sequence[int], masks: tuple[tuple[int, int, int] | None, ...], trail: list[tuple[int, int]] | None = None
 ) -> tuple[int, bool] | None:
     """One left-to-right pass over the owed state.
 
@@ -185,15 +185,26 @@ def _first_owed(
     smaller one (its gap since the previous occurrence has no smaller
     letter).  None when the word is canonical.  Letters, any sequence of
     them, must lie in 1..len(masks) - 1; masks is `_letter_masks`' table,
-    whose entry 0 is None.
+    whose entry 0 is None.  Given a trail, whose entry k is the state
+    (ns, ng) before letter k, the pass resumes at its last entry and
+    appends the state after each letter it passes.
     """
-    ns = ng = 0
-    for j, x in enumerate(letters):
-        bit, keep_ns, keep_ng = masks[x]
+    if trail is None:
+        ns = ng = 0
+        for j, x in enumerate(letters):
+            bit, keep_ns, keep_ng = masks[x]
+            if (ns | ng) & bit:
+                return j, bool(ns & bit)
+            ns = (ns & keep_ns) | bit
+            ng = (ng & keep_ng) | bit
+        return None
+    ns, ng = trail[-1]
+    for j in range(len(trail) - 1, len(letters)):
+        bit, keep_ns, keep_ng = masks[letters[j]]
         if (ns | ng) & bit:
             return j, bool(ns & bit)
-        ns = (ns & keep_ns) | bit
-        ng = (ng & keep_ng) | bit
+        ns, ng = (ns & keep_ns) | bit, (ng & keep_ng) | bit
+        trail.append((ns, ng))
     return None
 
 

@@ -378,8 +378,8 @@ def _wrong_past(cap, monkeypatch, fault=lambda letters: 0):
     # given, in any reducible word longer than the cap; canonicity is untouched
     step = reduce._deletion_index
 
-    def faulty(letters, masks):
-        idx = step(letters, masks)
+    def faulty(letters, masks, trail=None):  # canonical_form's trail is forwarded
+        idx = step(letters, masks, trail)
         return fault(letters) if idx is not None and len(letters) > cap else idx
 
     monkeypatch.setattr(reduce, "_deletion_index", faulty)

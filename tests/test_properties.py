@@ -2,13 +2,14 @@
 
 The mask scan behind `canonical_violation` and the reducer's deletion
 index are compared against the gap-slicing definitions they replace, kept
-here as references; the reducer is checked for idempotence, content,
-canonicity, the reverse-and-flip anti-automorphism and associativity, and
-its deletion step for depending on nothing past where the owed-state pass
-stops, which the oracle's memo walk assumes.  Every deletion the reducer
-makes is also replayed as a chain of single defining-relation steps, so
-w and its canonical form are equal in K_n at any length, not only within
-the oracle's cap.
+here as references, also on products of two near-maximal canonical words,
+whose deletions cascade deep at the junction; the reducer is checked for
+idempotence, content, canonicity, the reverse-and-flip anti-automorphism
+and associativity, and its deletion step for depending on nothing past
+where the owed-state pass stops, which the oracle's memo walk assumes.
+Every deletion the reducer makes is also replayed as a chain of single
+defining-relation steps, so w and its canonical form are equal in K_n at
+any length, not only within the oracle's cap.
 """
 
 from itertools import product
@@ -18,7 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kiselman.reduce import KElement, _deletion_index, canonical_form, multiply
-from kiselman.words import CanonicalViolation, Word, _first_owed, _letter_masks, canonical_violation, is_canonical
+from kiselman.words import (
+    CanonicalViolation,
+    Word,
+    _first_owed,
+    _letter_masks,
+    canonical_violation,
+    is_canonical,
+    length_bound,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=400, deadline=None, database=None)
 
@@ -79,6 +88,26 @@ def words(draw, min_rank: int = 1, max_rank: int = 10, max_len: int = 60) -> Wor
     return Word(letters, n)
 
 
+def spliced(n: int, pick) -> tuple[int, ...]:
+    """A canonical word of rank n and length L(n): two such words of rank
+    n - 2, their letters raised by one, on either side of 1 and n in the
+    order pick chooses.  Every pair of equal letters across the middle has
+    1 and n in its gap."""
+    if n <= 1:
+        return (1,) * n
+    left, right = (tuple(x + 1 for x in spliced(n - 2, pick)) for _ in range(2))
+    return left + pick(((1, n), (n, 1))) + right
+
+
+@st.composite
+def long_canonical(draw, n: int) -> tuple[int, ...]:
+    # a factor of a spliced word, so canonical, of length L(n), L(n) - 1 or L(n) - 2
+    letters = spliced(n, lambda options: draw(st.sampled_from(options)))
+    cut = draw(st.integers(0, min(2, len(letters))))
+    head = draw(st.integers(0, cut))
+    return letters[head : len(letters) - cut + head]
+
+
 @PROPERTY
 @given(words())
 def test_mask_scan_gives_the_gap_scan_witness(word):
@@ -119,6 +148,27 @@ def test_reverse_and_flip_commutes_with_reduction(word):
     n = word.rank
     reduced = canonical_form(word).word.letters
     assert canonical_form(Word(flip(word.letters, n), n)).word.letters == flip(reduced, n)
+
+
+@st.composite
+def long_pairs(draw) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    n = draw(st.integers(1, 16))
+    return n, draw(long_canonical(n)), draw(long_canonical(n))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(long_pairs())
+def test_products_of_long_canonical_words_reduce_as_the_references_do(pair):
+    # their junction deletes about L(n) letters, most of them deep in the word
+    n, u, v = pair
+    assert is_canonical(Word(u, n)) and is_canonical(Word(v, n))
+    assert min(len(u), len(v)) >= length_bound(n) - 2
+    masks = _letter_masks(n)
+    letters = list(u + v)
+    while (d := _deletion_index(letters, masks)) is not None:  # each step from position 0
+        del letters[d]
+    reduced = canonical_form(Word(u + v, n)).word.letters
+    assert reduced == tuple(letters) == reference_reduce(u + v)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from kiselman.reduce import (
     multiply,
 )
 from kiselman.words import Word, _letter_masks, is_canonical
+from test_properties import spliced
 
 
 def _reduce_text(text: str, rank: int) -> str:
@@ -71,12 +73,47 @@ def test_a_long_run_of_one_letter_reduces_in_place():
     assert time.perf_counter() - start < 2
 
 
+def _counted_reads(monkeypatch) -> list[int]:
+    # the letters canonical_form reads its transition table at, one entry a read
+    reads = []
+
+    class Counted(tuple):
+        def __getitem__(self, x):
+            reads.append(x)
+            return super().__getitem__(x)
+
+    monkeypatch.setattr(reduce, "_letter_masks", lambda n: Counted(_letter_masks(n)))
+    return reads
+
+
+def test_a_run_of_one_letter_reads_each_letter_once(monkeypatch):
+    # each deletion resumes the pass where it deleted: "1"·k reads k entries,
+    # where a rescan from position 0 after each deletion read 2k - 1
+    reads = _counted_reads(monkeypatch)
+    for k in (1, 2, 3, 1000):
+        reads.clear()
+        assert canonical_form(Word((1,) * k, 1)).word == Word((1,), 1)
+        assert len(reads) <= k + 1, k
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_product_of_long_words_reads_a_few_entries_per_letter(seed, monkeypatch):
+    # two rank-10 words of length L(10) = 62 whose product deletes 114 letters,
+    # most at the junction: about 3.3 reads a letter, 29 with a rescan per deletion
+    rng = random.Random(seed)
+    x, y = (KElement(Word(spliced(10, rng.choice), 10)) for _ in range(2))
+    reads = _counted_reads(monkeypatch)
+    product = multiply(x, y)
+    assert len(product.word) == 10
+    assert len(reads) < 4 * 124
+
+
 def test_a_deletion_past_the_end_raises(monkeypatch):
     # the step is looked up in the module at each call, and its index is deleted as given;
     # the patch stops a reducer that would step again on the word it left unchanged
     calls = []
 
-    def past_the_end(letters, masks):
+    def past_the_end(letters, masks, trail=None):
         calls.append(len(letters))
         if len(calls) > 2:
             raise RuntimeError("the word was left unchanged")
