@@ -8,10 +8,13 @@ contain exactly one canonical word and the reducer must map every member
 onto it.  This is the independent ground truth against which the
 reduction rule is validated; it assumes nothing about the rule itself.
 The reducer checked is the iterated leftmost deletion of
-`reduce._deletion_index`: `canonical_form` resumes it at each deleted
-index of one word, and the certification steps it from position 0 over
-the whole universe, in one walk over the canonical prefixes.
-`certify_reducer` returns counts and violations; `verify` reports them.
+`reduce._deletion_index`, which the certification steps from position 0
+over the whole universe, in one walk over the canonical prefixes.
+`canonical_form` runs the same step and pass, but resumes the pass at
+each deleted index from the owed states it keeps; the certification
+does not run that resume, which the property tests compare with
+stepping from position 0.  `certify_reducer` returns counts and
+violations; `verify` reports them.
 """
 
 from __future__ import annotations

@@ -185,19 +185,14 @@ def _first_owed(
     smaller one (its gap since the previous occurrence has no smaller
     letter).  None when the word is canonical.  Letters, any sequence of
     them, must lie in 1..len(masks) - 1; masks is `_letter_masks`' table,
-    whose entry 0 is None.  Given a trail, whose entry k is the state
-    (ns, ng) before letter k, the pass resumes at its last entry and
-    appends the state after each letter it passes.
+    whose entry 0 is None.  The pass keeps a trail, whose entry k is the
+    state (ns, ng) before letter k: it starts at the trail's last entry
+    and appends the state after each letter it passes.  Without a trail
+    it starts a fresh one at position 0; `canonical_form` passes its own
+    to resume where it deleted.
     """
     if trail is None:
-        ns = ng = 0
-        for j, x in enumerate(letters):
-            bit, keep_ns, keep_ng = masks[x]
-            if (ns | ng) & bit:
-                return j, bool(ns & bit)
-            ns = (ns & keep_ns) | bit
-            ng = (ng & keep_ng) | bit
-        return None
+        trail = [(0, 0)]
     ns, ng = trail[-1]
     for j in range(len(trail) - 1, len(letters)):
         bit, keep_ns, keep_ng = masks[letters[j]]

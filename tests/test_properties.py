@@ -28,6 +28,7 @@ from kiselman.words import (
     is_canonical,
     length_bound,
 )
+from long_words import spliced
 
 PROPERTY = settings(derandomize=True, max_examples=400, deadline=None, database=None)
 
@@ -86,17 +87,6 @@ def words(draw, min_rank: int = 1, max_rank: int = 10, max_len: int = 60) -> Wor
         at = draw(st.integers(0, len(letters)))
         letters = letters[:at] + (draw(st.integers(1, n)),) + letters[at:]
     return Word(letters, n)
-
-
-def spliced(n: int, pick) -> tuple[int, ...]:
-    """A canonical word of rank n and length L(n): two such words of rank
-    n - 2, their letters raised by one, on either side of 1 and n in the
-    order pick chooses.  Every pair of equal letters across the middle has
-    1 and n in its gap."""
-    if n <= 1:
-        return (1,) * n
-    left, right = (tuple(x + 1 for x in spliced(n - 2, pick)) for _ in range(2))
-    return left + pick(((1, n), (n, 1))) + right
 
 
 @st.composite

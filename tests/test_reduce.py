@@ -17,7 +17,7 @@ from kiselman.reduce import (
     multiply,
 )
 from kiselman.words import Word, _letter_masks, is_canonical
-from test_properties import spliced
+from long_words import spliced
 
 
 def _reduce_text(text: str, rank: int) -> str:
