@@ -9,12 +9,12 @@ onto it.  This is the independent ground truth against which the
 reduction rule is validated; it assumes nothing about the rule itself.
 The reducer checked is the iterated leftmost deletion of
 `reduce._deletion_index`, which the certification steps from position 0
-over the whole universe, in one walk over the canonical prefixes.
-`canonical_form` runs the same step and pass, but resumes the pass at
-each deleted index from the owed states it keeps; the certification
-does not run that resume, which the property tests compare with
-stepping from position 0.  `certify_reducer` returns counts and
-violations; `verify` reports them.
+over the whole universe, in one walk over the prefixes its memo maps to
+themselves, the canonical ones.  `canonical_form` runs the same step and
+pass, but resumes the pass at each deleted index from the owed states it
+keeps; the certification does not run that resume, which the property
+tests compare with stepping from position 0.  `certify_reducer` returns
+counts and violations; `verify` reports them.
 """
 
 from __future__ import annotations
@@ -228,7 +228,8 @@ def _canonical_by_class(root: list[int], kept: int, red: list[int]) -> dict[int,
 
 def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
     """Extend red, which holds the words shorter than first, over the words
-    of length first..last, one step per run.  A run at the last position
+    of length first..last, one step per run; a prefix red maps to itself is
+    canonical, and the walk keeps no owed state.  A run at the last position
     is one word: it is stepped as it is and its entry is set by index."""
     step = reduce._deletion_index  # the reducer's own lookup, patched or not
     masks = _letter_masks(n)
@@ -239,9 +240,9 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
     for ell in range(first, last + 1):
         here, shorter = offset[ell], offset[ell - 1]
         red.extend(repeat(0, power[ell]))
-        stack = [((), 0, 0, 0)]  # canonical prefixes: letters, value, ns, ng
+        stack = [((), 0)]  # canonical prefixes: letters, value
         while stack:
-            prefix, value, ns, ng = stack.pop()
+            prefix, value = stack.pop()
             e = len(prefix)
             if e + 1 == ell:  # each extension is a run of one word: step it as it is
                 for x in range(1, n + 1):
@@ -249,11 +250,11 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
                     d = step(prefix + (x,), masks)
                     red[here + v] = here + v if d is None else red[shorter + cut(v, power[e - d])]
                 continue
+            at = offset[e + 1]  # the extensions are shorter than ell, so their entries are filled
             for x in range(1, n + 1):
-                bit, keep_ns, keep_ng = masks[x]
                 w, v = prefix + (x,), value * n + x - 1
-                if not (ns | ng) & bit:
-                    stack.append((w, v, (ns & keep_ns) | bit, (ng & keep_ng) | bit))
+                if red[at + v] == at + v:  # the memo maps it to itself: canonical
+                    stack.append((w, v))
                     continue
                 run = power[ell - 1 - e]
                 hi = here + v * run
@@ -276,10 +277,10 @@ def certify_reducer(n: int, max_len: int) -> OracleCertification:
     to, read from a memo over every word of length <= max_len: the
     iterated leftmost deletion that `canonical_form` performs.  A word is
     canonical when it reduces to itself, as any deletion shortens it.
-    `_reduce_walk` fills the memo stepping once per canonical word and
-    once per run of words sharing a canonical prefix through where the
-    step stops, so the step must depend on nothing past that point; a
-    step that deletes past it sends its run word by word.
+    `_reduce_walk` fills the memo stepping once per canonical word (one the
+    memo maps to itself) and once per run of words sharing a prefix through
+    where the step stops, so the step must depend on nothing past that
+    point; a step that deletes past it sends its run word by word.
 
     A class without a canonical member means the cap truncated a
     derivation: two short words can be congruent only through longer

@@ -49,9 +49,8 @@ def _deletion_index(
     # position of the second occurrence: the first letter the owed-state
     # pass stops at.  Returns the index to delete.  Letters are any
     # sequence; masks is `_letter_masks`' table, None at entry 0.  A trail
-    # resumes the pass; without one the pass is called with two arguments,
-    # so a pass of that signature patched in still reaches the oracle walk.
-    hit = _first_owed(letters, masks) if trail is None else _first_owed(letters, masks, trail)
+    # resumes the pass; without one it starts at position 0.
+    hit = _first_owed(letters, masks, trail)
     if hit is None:
         return None
     j, owes_smaller = hit

@@ -6,7 +6,10 @@ references on large universes.
 Pytest does not collect this file: the five closure pairs take about 20 s,
 most of it in the reference, and the three memo pairs about 30 s, most of
 it in `canonical_form`.  (4, 10) is the retry universe of the verify
-suite's (4, 8).  Exits 1 naming the first pair that differs.
+suite's (4, 8).  Then, at (5, 7) and (6, 6), each owed-state pass of
+`test_oracle.STATE_UPDATES` is planted in the reducer and the walk's memo
+must be that pass's step put through every word, as `reference_memo`
+does (about 2 s).  Exits 1 naming the first pair that differs.
 """
 
 import sys
@@ -15,12 +18,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_oracle import first_memo_mismatch, merge_closure  # noqa: E402
+from test_oracle import (  # noqa: E402
+    STATE_UPDATES,
+    _first_owed_with,
+    first_memo_mismatch,
+    merge_closure,
+    reference_memo,
+)
 
-from kiselman import oracle  # noqa: E402
+from kiselman import oracle, reduce  # noqa: E402
 
 SWEEP_PAIRS = [(4, 10), (3, 12), (2, 20), (5, 8), (6, 7)]
 MEMO_SWEEP_PAIRS = [(4, 10), (5, 7), (6, 6)]
+PASS_SWEEP_PAIRS = [(5, 7), (6, 6)]
 
 
 def main() -> int:
@@ -39,6 +49,21 @@ def main() -> int:
             print(f"rank {n}, cap {max_len}: the memo does not reduce {word} as canonical_form does")
             return 1
         print(f"rank {n}, cap {max_len}: the memo is canonical_form ({time.perf_counter() - start:.1f} s)")
+    true_pass = reduce._first_owed
+    for n, max_len in PASS_SWEEP_PAIRS:
+        for name, update in STATE_UPDATES.items():
+            start = time.perf_counter()
+            reduce._first_owed = _first_owed_with(update)
+            try:
+                red, expected = [0], [0]
+                oracle._reduce_walk(n, 1, max_len, red)
+                reference_memo(n, 1, max_len, expected)
+            finally:
+                reduce._first_owed = true_pass
+            if red != expected:
+                print(f"rank {n}, cap {max_len}, pass {name}: the memo is not the step put through every word")
+                return 1
+            print(f"rank {n}, cap {max_len}, pass {name}: the memo is the step ({time.perf_counter() - start:.1f} s)")
     return 0
 
 

@@ -16,6 +16,7 @@ letter, and must fill the same memo.  The oracle never calls
 word.
 """
 
+import gc
 import json
 import time
 import tracemalloc
@@ -425,14 +426,18 @@ def test_faults_at_every_length_fail_the_certification(fault, monkeypatch):
 
 
 def _first_owed_with(update):
-    # the owed-state pass with update(ns, ng, bit, keep_ns, keep_ng) in place of its transition
-    def first_owed(letters, masks):
-        ns = ng = 0
-        for j, x in enumerate(letters):
-            bit, keep_ns, keep_ng = masks[x]
+    # the owed-state pass with update(ns, ng, bit, keep_ns, keep_ng) in place of its
+    # transition; like the true pass it starts at the trail's last state and extends it
+    def first_owed(letters, masks, trail=None):
+        if trail is None:
+            trail = [(0, 0)]
+        ns, ng = trail[-1]
+        for j in range(len(trail) - 1, len(letters)):
+            bit, keep_ns, keep_ng = masks[letters[j]]
             if (ns | ng) & bit:
                 return j, bool(ns & bit)
             ns, ng = update(ns, ng, bit, keep_ns, keep_ng)
+            trail.append((ns, ng))
         return None
 
     return first_owed
@@ -451,10 +456,21 @@ STATE_UPDATES = {
 @pytest.mark.parametrize("update", STATE_UPDATES)
 @pytest.mark.parametrize("n,max_len", [(3, 4), (4, 4)])
 def test_faulty_owed_state_fails_the_certification(n, max_len, update, monkeypatch):
-    # only the reducer's pass is replaced: the walk's prefix states keep the true
-    # transition, and each step reads its word from position 0 through the fault
+    # only the reducer's pass is replaced: the walk reads its canonical prefixes
+    # from the memo, and each step reads its word from position 0 through the fault
     monkeypatch.setattr(reduce, "_first_owed", _first_owed_with(STATE_UPDATES[update]))
     assert certify_reducer(n, max_len).holds == (update == "true")
+
+
+@pytest.mark.parametrize("update", STATE_UPDATES)
+@pytest.mark.parametrize("n,max_len", [(3, 4), (4, 4), (5, 4), (3, 5)])
+def test_walk_memo_is_the_step_iterated_under_faulty_passes(n, max_len, update, monkeypatch):
+    # whatever left-to-right pass the reducer runs, the memo the certification
+    # checks is that pass's step put through every word, on the retry's lengths too
+    monkeypatch.setattr(reduce, "_first_owed", _first_owed_with(STATE_UPDATES[update]))
+    expected = [0]
+    reference_memo(n, 1, max_len + 2, expected)
+    assert walk_memo(n, max_len) == expected
 
 
 def test_memo_catches_a_deletion_past_the_shared_prefix(monkeypatch):
@@ -500,36 +516,27 @@ def test_faults_at_the_last_letter_fail_the_certification(n, max_len, fault, mon
 def test_certification_peak_memory_is_pinned():
     # the walk holds no per-call table beside the memo and the closure: a 736 KiB
     # peak on Python 3.11 with the cached transition tables filled beforehand,
-    # and the bound allows 9% over it
-    certify_reducer(5, 4)
-    tracemalloc.start()
+    # and the bound allows 9% over it; the collector is held off across both
+    # calls, so no collection before or inside the window moves the reading
+    gc.disable()
     try:
         certify_reducer(5, 4)
-        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.start()
+        try:
+            certify_reducer(5, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     finally:
-        tracemalloc.stop()
+        gc.enable()
     assert peak <= 800 * 1024, f"{peak / 1024:.0f} KiB"
 
 
-@pytest.mark.parametrize("n,max_len,calls", [(3, 4, 74), (4, 4, 524), (5, 4, 2850)])
-def test_memo_steps_once_per_run(n, max_len, calls, monkeypatch):
-    # a run per canonical prefix of length e and letter it owes, of which
-    # there are n * c_e - c_(e+1), and one per canonical word of each length
-    step = reduce._deletion_index
-    long = []
-
-    def counted(letters, masks):
-        long.append(len(letters) > max_len)
-        return step(letters, masks)
-
-    monkeypatch.setattr(reduce, "_deletion_index", counted)
-    assert certify_reducer(n, max_len).holds
+def walk_runs(n: int, ell: int) -> int:
+    # the walk's steps at length ell: a run per canonical prefix of length e and
+    # letter it owes, of which there are n * c_e - c_(e+1), and one per canonical word
     c = count(n).by_length
-
-    def runs(ell):
-        return sum(n * c.get(e, 0) - c.get(e + 1, 0) for e in range(ell)) + c.get(ell, 0)
-
-    assert sum(long) == runs(max_len + 1) + runs(max_len + 2) == calls
+    return sum(n * c.get(e, 0) - c.get(e + 1, 0) for e in range(ell)) + c.get(ell, 0)
 
 
 # the certify pairs with the step calls their walk makes, retried or not
@@ -539,7 +546,7 @@ STEP_CALLS = [(3, 4, 140), (3, 5, 177), (4, 4, 720), (5, 4, 3330), (2, 7, 36), (
 @pytest.mark.parametrize("n,max_len,calls", STEP_CALLS)
 def test_walk_steps_once_per_run_at_every_length(n, max_len, calls, monkeypatch):
     # every length from 1 to the cap, and to the cap + 2 on a retry, takes
-    # the runs of test_memo_steps_once_per_run's formula and no other step
+    # walk_runs' steps and no other
     step = reduce._deletion_index
     lengths = []
 
@@ -550,13 +557,8 @@ def test_walk_steps_once_per_run_at_every_length(n, max_len, calls, monkeypatch)
     monkeypatch.setattr(reduce, "_deletion_index", counted)
     cert = certify_reducer(n, max_len)
     assert cert.holds
-    c = count(n).by_length
-
-    def runs(ell):
-        return sum(n * c.get(e, 0) - c.get(e + 1, 0) for e in range(ell)) + c.get(ell, 0)
-
     last = max_len + 2 if cert.retried else max_len
-    assert [lengths.count(ell) for ell in range(1, last + 1)] == [runs(ell) for ell in range(1, last + 1)]
+    assert [lengths.count(ell) for ell in range(1, last + 1)] == [walk_runs(n, ell) for ell in range(1, last + 1)]
     assert len(lengths) == calls
 
 
