@@ -158,15 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def __getattr__(name: str):
-    # `kiselman.cli.canonical_form` is the reducer (the benchmark's tracer test reads it), loaded on first use
-    if name == "canonical_form":
-        from .reduce import canonical_form
-
-        return canonical_form
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -228,9 +228,9 @@ def _canonical_by_class(root: list[int], kept: int, red: list[int]) -> dict[int,
 
 def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
     """Extend red, which holds the words shorter than first, over the words
-    of length first..last, one step per run; a prefix red maps to itself is
-    canonical, and the walk keeps no owed state.  A run at the last position
-    is one word: it is stepped as it is and its entry is set by index."""
+    of length first..last; a prefix red maps to itself is canonical.  A run
+    gets one slice when the step deletes its first word inside the prefix
+    the run shares, and goes through the step word by word otherwise."""
     step = reduce._deletion_index  # the reducer's own lookup, patched or not
     masks = _letter_masks(n)
     power, offset = _layout(n, last)
@@ -259,9 +259,7 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
                 run = power[ell - 1 - e]
                 hi = here + v * run
                 d = step(w + (1,) * (ell - 1 - e), masks)
-                if d is None:
-                    red[hi : hi + run] = range(hi, hi + run)
-                elif d <= e:
+                if d is not None and d <= e:
                     lo = shorter + cut(v, power[e - d]) * run
                     red[hi : hi + run] = red[lo : lo + run]
                 else:
@@ -277,10 +275,10 @@ def certify_reducer(n: int, max_len: int) -> OracleCertification:
     to, read from a memo over every word of length <= max_len: the
     iterated leftmost deletion that `canonical_form` performs.  A word is
     canonical when it reduces to itself, as any deletion shortens it.
-    `_reduce_walk` fills the memo stepping once per canonical word (one the
-    memo maps to itself) and once per run of words sharing a prefix through
-    where the step stops, so the step must depend on nothing past that
-    point; a step that deletes past it sends its run word by word.
+    `_reduce_walk` steps once per canonical word (one the memo maps to
+    itself) and once per run of words sharing a prefix through where the
+    step stops, which one slice fills if it deletes there, else word by
+    word; so the step must depend on nothing past where it stops.
 
     A class without a canonical member means the cap truncated a
     derivation: two short words can be congruent only through longer

@@ -178,7 +178,7 @@ def test_dp_matches_forward_formulation():
 
 
 def test_reachable_state_count():
-    for n in range(1, 11):
+    for n in range(1, 13):
         assert len(_extension_table(n)[0]) == n * 2 ** (n - 1) + 1, n
 
 

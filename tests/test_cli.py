@@ -391,8 +391,6 @@ def test_lazy_namespace_serves_every_public_name():
     for name in SUBMODULES:
         assert getattr(kiselman, name) is sys.modules[f"kiselman.{name}"]
     assert kiselman.count is count
-    # cli imports the reducer per command, and still serves it as an attribute
-    assert kiselman.cli.canonical_form is kiselman.reduce.canonical_form
     namespace: dict = {}
     exec("from kiselman import *", namespace)
     assert set(kiselman.__all__) <= set(namespace)

@@ -374,21 +374,29 @@ def test_certification_matches_reference(n, max_len):
     assert _fields(cert) == _fields(reference_certify(n, max_len))
 
 
-def _wrong_past(cap, monkeypatch, fault=lambda letters: 0):
-    # the reducer's step deletes at fault(letters), the first letter unless
-    # given, in any reducible word longer than the cap; canonicity is untouched
+def _wrong_past(cap, monkeypatch, fault=lambda letters, idx: 0):
+    # the reducer's step deletes at fault(letters, idx), given the true index,
+    # in any reducible word longer than the cap: the first letter unless given;
+    # canonicity is untouched
     step = reduce._deletion_index
 
     def faulty(letters, masks, trail=None):  # canonical_form's trail is forwarded
         idx = step(letters, masks, trail)
-        return fault(letters) if idx is not None and len(letters) > cap else idx
+        return fault(letters, idx) if idx is not None and len(letters) > cap else idx
 
     monkeypatch.setattr(reduce, "_deletion_index", faulty)
 
 
 # faults past the cap: inside the prefix a run shares, a claim that the
-# word is canonical, and a deletion past that prefix
-FAULTS = {"first": lambda letters: 0, "none": lambda letters: None, "last": lambda letters: len(letters) - 1}
+# word is canonical, a deletion past that prefix, and a claim that the
+# reducible words ending in 1 are canonical: a run's first word, p x 1 ... 1,
+# is one, and its run's words ending in another letter keep the true deletion
+FAULTS = {
+    "first": lambda letters, idx: 0,
+    "none": lambda letters, idx: None,
+    "last": lambda letters, idx: len(letters) - 1,
+    "none_if_last_is_1": lambda letters, idx: None if letters[-1] == 1 else idx,
+}
 # the certify pairs, a larger retry universe, and ranks 1-3 at small caps
 MEMO_PAIRS = [*CERTIFY_PAIRS, (4, 6), (1, 0), (1, 5), (2, 0), (2, 1), (2, 5), (3, 0), (3, 2), (3, 3)]
 
