@@ -8,13 +8,12 @@ contain exactly one canonical word and the reducer must map every member
 onto it.  This is the independent ground truth against which the
 reduction rule is validated; it assumes nothing about the rule itself.
 The reducer checked is the iterated leftmost deletion of
-`reduce._deletion_index`, which the certification steps from position 0
-over the whole universe, in one walk over the prefixes its memo maps to
-themselves, the canonical ones.  `canonical_form` runs the same step and
-pass, but resumes the pass at each deleted index from the owed states it
-keeps; the certification does not run that resume, which the property
-tests compare with stepping from position 0.  `certify_reducer` returns
-counts and violations; `verify` reports them.
+`reduce._deletion_index`, which the certification steps over the whole
+universe, in one walk over the prefixes its memo maps to themselves, the
+canonical ones.  Each step resumes the pass at the end of its prefix,
+from the trail of owed states that the pass under test built over it,
+as `canonical_form` resumes the pass at each deleted index.
+`certify_reducer` returns counts and violations; `verify` reports them.
 """
 
 from __future__ import annotations
@@ -230,8 +229,10 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
     """Extend red, which holds the words shorter than first, over the words
     of length first..last; a prefix red maps to itself is canonical.  A run
     gets one slice when the step deletes its first word inside the prefix
-    the run shares, and goes through the step word by word otherwise."""
-    step = reduce._deletion_index  # the reducer's own lookup, patched or not
+    the run shares, and goes through the step word by word otherwise.
+    Each canonical prefix keeps the trail that `reduce._first_owed` built
+    over it, so every step resumes the pass where the prefix ends."""
+    step, owed = reduce._deletion_index, reduce._first_owed  # the reducer's own lookups, patched or not
     masks = _letter_masks(n)
     power, offset = _layout(n, last)
     def cut(value: int, r: int) -> int:  # value less its digit of place r
@@ -240,31 +241,36 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
     for ell in range(first, last + 1):
         here, shorter = offset[ell], offset[ell - 1]
         red.extend(repeat(0, power[ell]))
-        stack = [((), 0)]  # canonical prefixes: letters, value
+        stack = [((), 0, [(0, 0)])]  # canonical prefixes: letters, value, the pass's trail over them
         while stack:
-            prefix, value = stack.pop()
+            prefix, value, trail = stack.pop()
             e = len(prefix)
             if e + 1 == ell:  # each extension is a run of one word: step it as it is
                 for x in range(1, n + 1):
                     v = value * n + x - 1
-                    d = step(prefix + (x,), masks)
+                    d = step(prefix + (x,), masks, trail)
+                    del trail[e + 1 :]
                     red[here + v] = here + v if d is None else red[shorter + cut(v, power[e - d])]
                 continue
             at = offset[e + 1]  # the extensions are shorter than ell, so their entries are filled
             for x in range(1, n + 1):
                 w, v = prefix + (x,), value * n + x - 1
                 if red[at + v] == at + v:  # the memo maps it to itself: canonical
-                    stack.append((w, v))
+                    t = trail[:]
+                    owed(w, masks, t)  # the pass under test extends the trail over x
+                    stack.append((w, v, t))
                     continue
                 run = power[ell - 1 - e]
                 hi = here + v * run
-                d = step(w + (1,) * (ell - 1 - e), masks)
+                d = step(w + (1,) * (ell - 1 - e), masks, trail)
+                del trail[e + 1 :]
                 if d is not None and d <= e:
                     lo = shorter + cut(v, power[e - d]) * run
                     red[hi : hi + run] = red[lo : lo + run]
                 else:
                     for i, tail in enumerate(product(range(1, n + 1), repeat=ell - 1 - e), hi):
-                        d = step(w + tail, masks)
+                        d = step(w + tail, masks, trail)
+                        del trail[e + 1 :]
                         red[i] = i if d is None else red[shorter + cut(i - here, power[ell - 1 - d])]
 
 

@@ -189,7 +189,8 @@ def _first_owed(
     state (ns, ng) before letter k: it starts at the trail's last entry
     and appends the state after each letter it passes.  Without a trail
     it starts a fresh one at position 0; `canonical_form` passes its own
-    to resume where it deleted.
+    to resume where it deleted, and the oracle walk a canonical prefix's
+    to resume where the prefix ends.
     """
     if trail is None:
         trail = [(0, 0)]

@@ -12,7 +12,9 @@ must be that pass's step put through every word, as `reference_memo`
 does (about 2 s).  Last, at (5, 5) and (6, 4), each step fault of
 `test_oracle.FAULTS` is planted past the cap and the walk's memo over the
 lengths up to the cap + 2 must be the faulty step put through every word
-(about 1.5 s).  Exits 1 naming the first pair that differs.
+(about 1.5 s), and each pass of `test_oracle.RESUME_FAULTS`, which resumes
+wrongly, is planted in the reducer and `certify_reducer` must fail (under
+0.1 s).  Exits 1 naming the first pair that differs or still holds.
 """
 
 import sys
@@ -24,6 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import pytest  # noqa: E402
 from test_oracle import (  # noqa: E402
     FAULTS,
+    RESUME_FAULTS,
     STATE_UPDATES,
     _first_owed_with,
     _wrong_past,
@@ -34,6 +37,7 @@ from test_oracle import (  # noqa: E402
 )
 
 from kiselman import oracle, reduce  # noqa: E402
+from kiselman.oracle import certify_reducer  # noqa: E402
 
 SWEEP_PAIRS = [(4, 10), (3, 12), (2, 20), (5, 8), (6, 7)]
 MEMO_SWEEP_PAIRS = [(4, 10), (5, 7), (6, 6)]
@@ -84,6 +88,15 @@ def main() -> int:
                 print(f"rank {n}, cap {max_len}, fault {name}: the memo is not the step put through every word")
                 return 1
             print(f"rank {n}, cap {max_len}, fault {name}: the memo is the step ({time.perf_counter() - start:.1f} s)")
+        for name, resume in RESUME_FAULTS.items():
+            start = time.perf_counter()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(reduce, "_first_owed", resume)
+                holds = certify_reducer(n, max_len).holds
+            if holds:
+                print(f"rank {n}, cap {max_len}, resume {name}: the certification still holds")
+                return 1
+            print(f"rank {n}, cap {max_len}, resume {name}: the certification fails ({time.perf_counter() - start:.1f} s)")
     return 0
 
 

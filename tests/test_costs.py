@@ -1,4 +1,6 @@
-"""How often a command rebuilds its work, counted by wrapping the builder.
+"""How often a command rebuilds its work, counted by wrapping the builder,
+and how often a certification or a reduction reads its transition table
+or validates a word.
 
 Each figure is pinned, so a rebuild added or saved shows here as a changed
 count rather than only as time; a change that moves a figure gives the old
@@ -9,7 +11,10 @@ import pytest
 
 from kiselman import census, cli, oracle
 from kiselman.oracle import certify_reducer
-from test_oracle import CERTIFY_PAIRS
+from kiselman.reduce import KElement, canonical_form, multiply
+from kiselman.words import Word
+from test_oracle import CERTIFY_PAIRS, STEP_CALLS
+from test_reduce import _counted_reads
 
 
 def _record(monkeypatch, module, name) -> list:
@@ -54,3 +59,31 @@ def test_certification_builds_one_closure_or_two_on_a_retry(n, max_len, monkeypa
     closures = _record(monkeypatch, oracle, "_closure")
     cert = certify_reducer(n, max_len)
     assert closures == [(n, max_len), (n, max_len + 2)][: 1 + cert.retried]
+
+
+# the transition-table reads of each certification at the STEP_CALLS pairs: every
+# step resumes at its canonical prefix's trail, which one pass call per push extends
+TABLE_READS = [201, 255, 952, 4155, 58, 165, 270, 363]
+
+
+@pytest.mark.parametrize("n,max_len,reads", [(n, cap, r) for (n, cap, _), r in zip(STEP_CALLS, TABLE_READS)])
+def test_table_reads_per_certification(n, max_len, reads, monkeypatch):
+    counted = _counted_reads(monkeypatch, oracle)
+    assert certify_reducer(n, max_len).holds
+    assert len(counted) == reads
+
+
+WORDS = ["", "1 2 3 1 2 3 2 1", "2 1 2", "3 1 2", "1 1 1 1"]
+
+
+@pytest.mark.parametrize("text", WORDS)
+def test_word_validations_per_reduction(text, monkeypatch):
+    # canonical_form validates only the word it returns; multiply also the concatenation
+    word = Word.from_text(text, 3)
+    x, y = canonical_form(word), KElement(Word((2, 1), 3))
+    validated = _record(monkeypatch, Word, "__post_init__")
+    canonical_form(word)
+    assert len(validated) == 1
+    validated.clear()
+    multiply(x, y)
+    assert len(validated) == 2

@@ -433,14 +433,15 @@ def test_faults_at_every_length_fail_the_certification(fault, monkeypatch):
     assert cert.violations and not cert.holds
 
 
-def _first_owed_with(update):
+def _first_owed_with(update, start=lambda trail: (len(trail) - 1, trail[-1])):
     # the owed-state pass with update(ns, ng, bit, keep_ns, keep_ng) in place of its
-    # transition; like the true pass it starts at the trail's last state and extends it
+    # transition, starting at start(trail), a position and its state; like the true
+    # pass it starts by default at the trail's last state, and it extends the trail
     def first_owed(letters, masks, trail=None):
         if trail is None:
             trail = [(0, 0)]
-        ns, ng = trail[-1]
-        for j in range(len(trail) - 1, len(letters)):
+        first, (ns, ng) = start(trail)
+        for j in range(first, len(letters)):
             bit, keep_ns, keep_ng = masks[letters[j]]
             if (ns | ng) & bit:
                 return j, bool(ns & bit)
@@ -461,11 +462,36 @@ STATE_UPDATES = {
 }
 
 
+# true passes that resume wrongly: from the empty state at the trail's end, and
+# one position early with the trail's last state; from position 0 both are the
+# true pass, so only a step resumed at a prefix's trail can catch them
+RESUME_FAULTS = {
+    "from_the_empty_state": _first_owed_with(STATE_UPDATES["true"], lambda trail: (len(trail) - 1, trail[0])),
+    "one_position_early": _first_owed_with(STATE_UPDATES["true"], lambda trail: (max(len(trail) - 2, 0), trail[-1])),
+}
+
+
+@pytest.mark.parametrize("fault", RESUME_FAULTS)
+@pytest.mark.parametrize("n,max_len", [(3, 4), (4, 4), (2, 7), (5, 3)])
+def test_resume_faults_fail_the_certification(n, max_len, fault, monkeypatch):
+    # the walk steps each word from its canonical prefix's trail, as
+    # canonical_form resumes at each deleted index
+    monkeypatch.setattr(reduce, "_first_owed", RESUME_FAULTS[fault])
+    assert not certify_reducer(n, max_len).holds
+
+
+def test_a_resume_fault_breaks_canonical_form(monkeypatch):
+    # the fault is real: the reducer's output fails its own canonicity check
+    monkeypatch.setattr(reduce, "_first_owed", RESUME_FAULTS["from_the_empty_state"])
+    with pytest.raises(ValueError, match="not a canonical word"):
+        canonical_form(Word.from_text("1 2 3 1 2 3 2 1", 3))
+
+
 @pytest.mark.parametrize("update", STATE_UPDATES)
 @pytest.mark.parametrize("n,max_len", [(3, 4), (4, 4)])
 def test_faulty_owed_state_fails_the_certification(n, max_len, update, monkeypatch):
     # only the reducer's pass is replaced: the walk reads its canonical prefixes
-    # from the memo, and each step reads its word from position 0 through the fault
+    # from the memo, and each step resumes at its prefix's trail, which the fault built
     monkeypatch.setattr(reduce, "_first_owed", _first_owed_with(STATE_UPDATES[update]))
     assert certify_reducer(n, max_len).holds == (update == "true")
 
@@ -505,8 +531,8 @@ def test_faults_at_the_last_letter_fail_the_certification(n, max_len, fault, mon
     # none of these pairs retries, so _wrong_past's faults past the cap never reach them
     step = reduce._deletion_index
 
-    def faulty(letters, masks):
-        idx = step(letters, masks)
+    def faulty(letters, masks, trail=None):
+        idx = step(letters, masks, trail)
         hit = words._first_owed(letters, masks)
         return LAST_LETTER_FAULTS[fault](letters, idx) if hit and hit[0] == len(letters) - 1 else idx
 
@@ -558,9 +584,9 @@ def test_walk_steps_once_per_run_at_every_length(n, max_len, calls, monkeypatch)
     step = reduce._deletion_index
     lengths = []
 
-    def counted(letters, masks):
+    def counted(letters, masks, trail=None):
         lengths.append(len(letters))
-        return step(letters, masks)
+        return step(letters, masks, trail)
 
     monkeypatch.setattr(reduce, "_deletion_index", counted)
     cert = certify_reducer(n, max_len)
@@ -623,7 +649,7 @@ def test_report_names_violations(monkeypatch):
 def test_memo_catches_canonical_claims_past_the_cap(monkeypatch):
     # the step finds nothing to delete in any word longer than the cap
     step = reduce._deletion_index
-    monkeypatch.setattr(reduce, "_deletion_index", lambda w, masks: None if len(w) > 4 else step(w, masks))
+    monkeypatch.setattr(reduce, "_deletion_index", lambda w, masks, trail=None: None if len(w) > 4 else step(w, masks, trail))
     cert = certify_reducer(3, 4)
     multiple = [v for v in cert.violations if v["kind"] == "multiple_canonical_members"]
     assert multiple and not cert.holds
@@ -633,7 +659,7 @@ def test_memo_catches_canonical_claims_past_the_cap(monkeypatch):
 def test_classes_without_a_canonical_member_are_violations(monkeypatch):
     # a step that always deletes leaves the empty word the one word that reduces to itself
     step = reduce._deletion_index
-    monkeypatch.setattr(reduce, "_deletion_index", lambda w, masks: step(w, masks) or 0)
+    monkeypatch.setattr(reduce, "_deletion_index", lambda w, masks, trail=None: step(w, masks, trail) or 0)
     cert = certify_reducer(2, 3)
     assert cert.retried and not cert.holds
     assert cert.violations == tuple({"kind": "no_canonical_member", "class_rep": r} for r in ("1", "2", "1 2", "2 1"))

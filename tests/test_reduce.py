@@ -73,8 +73,9 @@ def test_a_long_run_of_one_letter_reduces_in_place():
     assert time.perf_counter() - start < 2
 
 
-def _counted_reads(monkeypatch) -> list[int]:
-    # the letters canonical_form reads its transition table at, one entry a read
+def _counted_reads(monkeypatch, module=reduce) -> list[int]:
+    # the letters module's passes read its transition table at, one entry a read:
+    # canonical_form's unless another module is given
     reads = []
 
     class Counted(tuple):
@@ -82,7 +83,7 @@ def _counted_reads(monkeypatch) -> list[int]:
             reads.append(x)
             return super().__getitem__(x)
 
-    monkeypatch.setattr(reduce, "_letter_masks", lambda n: Counted(_letter_masks(n)))
+    monkeypatch.setattr(module, "_letter_masks", lambda n: Counted(_letter_masks(n)))
     return reads
 
 
