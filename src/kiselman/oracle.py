@@ -12,7 +12,8 @@ The reducer checked is the iterated leftmost deletion of
 universe, in one walk over the prefixes its memo maps to themselves, the
 canonical ones.  Each step resumes the pass at the end of its prefix,
 from the trail of owed states that the pass under test built over it,
-as `canonical_form` resumes the pass at each deleted index.
+as `canonical_form` resumes the pass at each deleted index.  The walk
+reports the canonical words, so no scan of the memo looks for them.
 `certify_reducer` returns counts and violations; `verify` reports them.
 """
 
@@ -214,33 +215,42 @@ class OracleCertification(NamedTuple):
     reduced_by_memo: int = 0
 
 
-def _canonical_by_class(root: list[int], kept: int, red: list[int]) -> dict[int, list[int]]:
+def _canonical_by_class(root: list[int], kept: int, fixed: list[int]) -> dict[int, list[int]]:
     # the classes reaching the first `kept` words, in order (a root is the
     # first occurrence of its own value), each with its canonical members,
-    # the words that reduce to themselves
+    # the words the walk reported reducing to themselves, in index order;
+    # a class reaches them when its root, its smallest index, is below kept
     by_class: dict[int, list[int]] = {r: [] for r in dict.fromkeys(root[:kept])}
-    for i, j in enumerate(red):
-        if j == i and root[i] in by_class:
+    for i in sorted(fixed):
+        if root[i] < kept:
             by_class[root[i]].append(i)
     return by_class
 
 
-def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
+def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> list[int]:
     """Extend red, which holds the words shorter than first, over the words
-    of length first..last; a prefix red maps to itself is canonical.  A run
+    of length first..last, and return the indices it maps to themselves,
+    the canonical words; a prefix red maps to itself is canonical.  A run
     gets one slice when the step deletes its first word inside the prefix
     the run shares, and goes through the step word by word otherwise.
     Each canonical prefix keeps the trail that `reduce._first_owed` built
-    over it, so every step resumes the pass where the prefix ends."""
+    over it, so every step resumes the pass where the prefix ends.  A
+    run's first word, p x 1 ... 1, is written over one list of 1s grown a
+    letter per length and undone after the step, so at rank 1 the walk is
+    linear in the cap.  A slice copies shorter words' entries, so only the
+    step's None makes a word its own reduction."""
     step, owed = reduce._deletion_index, reduce._first_owed  # the reducer's own lookups, patched or not
     masks = _letter_masks(n)
     power, offset = _layout(n, last)
+    fixed: list[int] = []
+    ones, unit = [1] * (first - 1), (1,) * last  # a run's first word is written over ones, unit undoes it
     def cut(value: int, r: int) -> int:  # value less its digit of place r
         return value // (r * n) * r + value % r
 
     for ell in range(first, last + 1):
         here, shorter = offset[ell], offset[ell - 1]
         red.extend(repeat(0, power[ell]))
+        ones.append(1)
         stack = [((), 0, [(0, 0)])]  # canonical prefixes: letters, value, the pass's trail over them
         while stack:
             prefix, value, trail = stack.pop()
@@ -250,6 +260,8 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
                     v = value * n + x - 1
                     d = step(prefix + (x,), masks, trail)
                     del trail[e + 1 :]
+                    if d is None:
+                        fixed.append(here + v)
                     red[here + v] = here + v if d is None else red[shorter + cut(v, power[e - d])]
                 continue
             at = offset[e + 1]  # the extensions are shorter than ell, so their entries are filled
@@ -262,7 +274,9 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
                     continue
                 run = power[ell - 1 - e]
                 hi = here + v * run
-                d = step(w + (1,) * (ell - 1 - e), masks, trail)
+                ones[: e + 1] = w
+                d = step(ones, masks, trail)
+                ones[: e + 1] = unit[: e + 1]
                 del trail[e + 1 :]
                 if d is not None and d <= e:
                     lo = shorter + cut(v, power[e - d]) * run
@@ -271,7 +285,10 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> None:
                     for i, tail in enumerate(product(range(1, n + 1), repeat=ell - 1 - e), hi):
                         d = step(w + tail, masks, trail)
                         del trail[e + 1 :]
+                        if d is None:
+                            fixed.append(i)
                         red[i] = i if d is None else red[shorter + cut(i - here, power[ell - 1 - d])]
+    return fixed
 
 
 def certify_reducer(n: int, max_len: int) -> OracleCertification:
@@ -284,7 +301,9 @@ def certify_reducer(n: int, max_len: int) -> OracleCertification:
     `_reduce_walk` steps once per canonical word (one the memo maps to
     itself) and once per run of words sharing a prefix through where the
     step stops, which one slice fills if it deletes there, else word by
-    word; so the step must depend on nothing past where it stops.
+    word; so the step must depend on nothing past where it stops.  Each
+    word expects its class's one canonical word, which the walk reports,
+    or its own reduction if its class has none or several.
 
     A class without a canonical member means the cap truncated a
     derivation: two short words can be congruent only through longer
@@ -298,23 +317,22 @@ def certify_reducer(n: int, max_len: int) -> OracleCertification:
     # shorter words come first, so the retry's layout names every word of either universe
     offset = _layout(n, max_len + 2)[1]
     red = [0]  # red[i]: the index of word i's reduction; the empty word is its own
-    _reduce_walk(n, 1, max_len, red)
-    by_class = _canonical_by_class(root, kept, red)
+    fixed = [0, *_reduce_walk(n, 1, max_len, red)]
+    by_class = _canonical_by_class(root, kept, fixed)
     retried = not all(by_class.values())
     if retried:
         root = _closure(n, max_len + 2)
-        _reduce_walk(n, max_len + 1, max_len + 2, red)
-        by_class = _canonical_by_class(root, kept, red)
+        fixed += _reduce_walk(n, max_len + 1, max_len + 2, red)
+        by_class = _canonical_by_class(root, kept, fixed)
 
     target = {r: members[0] for r, members in by_class.items() if len(members) == 1}
+    by_memo = sum(map(target.__contains__, root[kept:]))
+    expected = list(map(target.get, root, red))
     mismatched: dict[int, list[int]] = {}
-    by_memo = 0
-    for i, r in enumerate(root):
-        t = target.get(r)
-        if t is not None:
-            by_memo += i >= kept
-            if red[i] != t:
-                mismatched.setdefault(r, []).append(i)
+    if expected != red:
+        for i, (t, j) in enumerate(zip(expected, red)):
+            if t != j:
+                mismatched.setdefault(root[i], []).append(i)
 
     def text(i: int) -> str:
         return " ".join(map(str, _word(i, n, offset)))

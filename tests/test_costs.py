@@ -1,6 +1,6 @@
 """How often a command rebuilds its work, counted by wrapping the builder,
-and how often a certification or a reduction reads its transition table
-or validates a word.
+how often a certification or a reduction reads its transition table
+or validates a word, and how many canonical words the oracle walk reports.
 
 Each figure is pinned, so a rebuild added or saved shows here as a changed
 count rather than only as time; a change that moves a figure gives the old
@@ -71,6 +71,26 @@ def test_table_reads_per_certification(n, max_len, reads, monkeypatch):
     counted = _counted_reads(monkeypatch, oracle)
     assert certify_reducer(n, max_len).holds
     assert len(counted) == reads
+
+
+# the canonical words the walk reports at the STEP_CALLS pairs, counted by the
+# census DP, an independent method: every canonical word up to the cap, or up
+# to the cap + 2 on a retry, and no other; 868 at (5, 4)
+@pytest.mark.parametrize("n,max_len", [(n, cap) for n, cap, _ in STEP_CALLS])
+def test_walk_reports_each_canonical_word_once(n, max_len, monkeypatch):
+    walk, reported = oracle._reduce_walk, [0]  # the walk starts past the empty word
+
+    def recorded(*args):
+        fixed = walk(*args)
+        reported.extend(fixed)
+        return fixed
+
+    monkeypatch.setattr(oracle, "_reduce_walk", recorded)
+    cert = certify_reducer(n, max_len)
+    last = max_len + 2 if cert.retried else max_len
+    by_length = census.count(n).by_length
+    assert len(set(reported)) == len(reported) == sum(by_length.get(ell, 0) for ell in range(last + 1))
+    assert (n, max_len) != (5, 4) or len(reported) == 868
 
 
 WORDS = ["", "1 2 3 1 2 3 2 1", "2 1 2", "3 1 2", "1 1 1 1"]

@@ -17,6 +17,7 @@ word.
 """
 
 import gc
+import hashlib
 import json
 import time
 import tracemalloc
@@ -507,6 +508,63 @@ def test_walk_memo_is_the_step_iterated_under_faulty_passes(n, max_len, update, 
     assert walk_memo(n, max_len) == expected
 
 
+# every planted pass and step: the owed-state passes, the passes that resume
+# wrongly, and the steps that go wrong past the cap
+PLANTS = [*STATE_UPDATES, *RESUME_FAULTS, *FAULTS]
+
+
+@pytest.mark.parametrize("plant", PLANTS)
+@pytest.mark.parametrize("n,max_len", MEMO_PAIRS)
+def test_walk_reports_the_words_its_memo_maps_to_themselves(n, max_len, plant, monkeypatch):
+    # the certification groups the reported words by class and never scans
+    # the memo for them, so the two must not drift apart, whatever the pass
+    if plant in FAULTS:
+        _wrong_past(max_len, monkeypatch, FAULTS[plant])
+    elif plant in RESUME_FAULTS:
+        monkeypatch.setattr(reduce, "_first_owed", RESUME_FAULTS[plant])
+    else:
+        monkeypatch.setattr(reduce, "_first_owed", _first_owed_with(STATE_UPDATES[plant]))
+    red = [0]
+    fixed = [0, *oracle._reduce_walk(n, 1, max_len, red), *oracle._reduce_walk(n, max_len + 1, max_len + 2, red)]
+    assert sorted(fixed) == [i for i, j in enumerate(red) if i == j]
+
+
+@pytest.mark.parametrize("fault", ["first", "last"])
+@pytest.mark.parametrize("n,max_len,violations", [(3, 4, 508), (4, 4, 3014), (3, 5, 1298)])
+def test_mismatches_past_the_cap_match_the_reference(n, max_len, violations, fault, monkeypatch):
+    # a wrong deletion past the cap leaves every class one canonical member,
+    # so each violation is a mismatch found by comparing the expected list
+    _wrong_past(max_len, monkeypatch, FAULTS[fault])
+    cert = certify_reducer(n, max_len)
+    assert cert.retried and len(cert.violations) == violations
+    assert {v["kind"] for v in cert.violations} == {"reducer_mismatch"}
+    assert _fields(cert) == _fields(reference_certify(n, max_len))
+
+
+# the whole certification, as JSON, under steps that claim words past the cap
+# canonical; reference_certify cannot run under them, since canonical_form
+# then returns a word that KElement rejects, so these digests come from a
+# certification that found its canonical words by scanning its memo
+CANONICAL_CLAIM_DIGESTS = [
+    ("none", 3, 4, 17, "6dffd47f6e5446de9707a41015dbabac97dbfb868e4b72967c811aa551999008"),
+    ("none", 4, 4, 72, "df6f9e61f1cd43c214fc4b7a95b16c39759ce37a052a0f4a905a191e3171e57f"),
+    ("none", 3, 5, 17, "1e96ee806f816a805375ff34f901105122cb0147788d7789b779c26758e1ed5e"),
+    ("none_if_last_is_1", 3, 4, 13, "3330e5aa7cfc1ab67e08159361e102af604d1797c7debd4c51b67f80e12c7fda"),
+    ("none_if_last_is_1", 4, 4, 55, "a0e349f95cabe686ff96a5d1931f8055fb19fa89631322ab11649ffaeb5f6814"),
+    ("none_if_last_is_1", 3, 5, 13, "8632bee76443d0d6b2e1536813891c1f694a5f2f8197d14e9df1318da1ee512a"),
+]
+
+
+@pytest.mark.parametrize("fault,n,max_len,violations,digest", CANONICAL_CLAIM_DIGESTS)
+def test_canonical_claims_past_the_cap_are_pinned(fault, n, max_len, violations, digest, monkeypatch):
+    _wrong_past(max_len, monkeypatch, FAULTS[fault])
+    with pytest.raises(ValueError, match="not a canonical word"):
+        reference_certify(n, max_len)
+    cert = certify_reducer(n, max_len)
+    assert not cert.holds and len(cert.violations) == violations
+    assert hashlib.sha256(json.dumps(cert).encode()).hexdigest() == digest
+
+
 def test_memo_catches_a_deletion_past_the_shared_prefix(monkeypatch):
     # the last letter lies past the prefix of every run longer than one
     # word, so the walk steps through those runs word by word
@@ -580,20 +638,26 @@ STEP_CALLS = [(3, 4, 140), (3, 5, 177), (4, 4, 720), (5, 4, 3330), (2, 7, 36), (
 @pytest.mark.parametrize("n,max_len,calls", STEP_CALLS)
 def test_walk_steps_once_per_run_at_every_length(n, max_len, calls, monkeypatch):
     # every length from 1 to the cap, and to the cap + 2 on a retry, takes
-    # walk_runs' steps and no other
+    # walk_runs' steps and no other, each on a canonical word or on a run's
+    # first word p x 1 ... 1, all 1s past the letter x where the pass stops
     step = reduce._deletion_index
-    lengths = []
+    stepped = []
 
     def counted(letters, masks, trail=None):
-        lengths.append(len(letters))
+        stepped.append(tuple(letters))
         return step(letters, masks, trail)
 
     monkeypatch.setattr(reduce, "_deletion_index", counted)
     cert = certify_reducer(n, max_len)
     assert cert.holds
     last = max_len + 2 if cert.retried else max_len
+    lengths = [len(w) for w in stepped]
     assert [lengths.count(ell) for ell in range(1, last + 1)] == [walk_runs(n, ell) for ell in range(1, last + 1)]
     assert len(lengths) == calls
+    masks = words._letter_masks(n)
+    for w in stepped:
+        hit = words._first_owed(w, masks)
+        assert hit is None or set(w[hit[0] + 1 :]) <= {1}, w
 
 
 def test_rank_zero_cap_is_weighed():
@@ -608,11 +672,28 @@ def test_rank_zero_cap_is_weighed():
 
 def test_rank_one_certification_steps_once_per_length():
     # one step per length, each on a word that long; canonical_form on every
-    # "1"·k, a deletion and a rescan per letter, takes 15 s at cap 2000
+    # "1"·k, a deletion and a rescan per letter, takes 15 s at cap 2000, and a
+    # walk that built each step's word whole would take about 40 s here
     start = time.perf_counter()
-    cert = certify_reducer(1, 20_000)
+    cert = certify_reducer(1, 100_000)
     assert cert.holds and cert.classes == 2
     assert time.perf_counter() - start < 5
+
+
+def test_rank_one_steps_share_one_word(monkeypatch):
+    # past length 2 every step reads "1"·l, written over one list grown a
+    # letter per length, not a word built whole at every length
+    step, seen = reduce._deletion_index, []
+
+    def recorded(letters, masks, trail=None):
+        if len(letters) > 2:
+            assert list(letters) == [1] * len(letters)
+            seen.append(letters)
+        return step(letters, masks, trail)
+
+    monkeypatch.setattr(reduce, "_deletion_index", recorded)
+    assert certify_reducer(1, 50).holds
+    assert len(seen) == 48 and all(letters is seen[0] for letters in seen)
 
 
 def test_long_cap_is_refused_before_its_powers(monkeypatch):
