@@ -31,7 +31,8 @@ def main() -> None:
         status = "certified" if cert.holds else "FAILED"
         print(
             f"  rank {n}, length <= {cap}: {cert.classes} classes, "
-            f"{cert.canonical_words} canonical words, {status}{retry}"
+            f"{cert.canonical_words} canonical words, "
+            f"{cert.universe} words reduced and checked, {status}{retry}"
         )
     print()
     print("rank 4 with cap 8 passes too; it is left to the test suite, since")

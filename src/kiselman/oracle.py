@@ -14,7 +14,9 @@ canonical ones.  Each step resumes the pass at the end of its prefix,
 from the trail of owed states that the pass under test built over it,
 as `canonical_form` resumes the pass at each deleted index.  The walk
 reports the canonical words, so no scan of the memo looks for them.
-`certify_reducer` returns counts and violations; `verify` reports them.
+`certify_reducer` returns the verdict with its violations, whether the
+cap was raised, and the size of the universe the walk reduced and the
+check compared; `verify` reports them.
 """
 
 from __future__ import annotations
@@ -196,11 +198,11 @@ def congruence_closure(n: int, max_len: int) -> list[CongruenceClass]:
 class OracleCertification(NamedTuple):
     """Full outcome of checking the reducer against the congruence oracle.
 
-    universe counts the words of the closure the classes were read from,
-    reduced_directly the words of length <= max_len that the walk reduced
-    (all of them), and reduced_by_memo the longer class members whose
-    memoized reduction was compared.  The counts come last, with defaults,
-    so the first seven fields still construct positionally.
+    holds is the verdict and violations its evidence; retried says the
+    cap was raised by 2.  universe counts the words of the closure the
+    classes were read from, every one of which the walk reduced and the
+    check compared.  It comes last, with a default, so the first seven
+    fields still construct positionally.
     """
 
     rank: int
@@ -211,8 +213,6 @@ class OracleCertification(NamedTuple):
     retried: bool
     holds: bool
     universe: int = 0
-    reduced_directly: int = 0
-    reduced_by_memo: int = 0
 
 
 def _canonical_by_class(root: list[int], kept: int, fixed: list[int]) -> dict[int, list[int]]:
@@ -326,7 +326,6 @@ def certify_reducer(n: int, max_len: int) -> OracleCertification:
         by_class = _canonical_by_class(root, kept, fixed)
 
     target = {r: members[0] for r, members in by_class.items() if len(members) == 1}
-    by_memo = sum(map(target.__contains__, root[kept:]))
     expected = list(map(target.get, root, red))
     mismatched: dict[int, list[int]] = {}
     if expected != red:
@@ -369,7 +368,5 @@ def certify_reducer(n: int, max_len: int) -> OracleCertification:
         retried=retried,
         holds=not violations and len(by_class) == canonical_words,
         universe=len(root),
-        reduced_directly=kept,
-        reduced_by_memo=by_memo,
     )
 

@@ -194,7 +194,10 @@ def reference_certify(n: int, max_len: int) -> OracleCertification:
     classes = reference_closure(n, max_len)
     retried = any(len(c.canonical_members) == 0 for c in classes)
     if retried:
-        classes = [c for c in reference_closure(n, max_len + 2) if len(c.members[0]) <= max_len]
+        classes = reference_closure(n, max_len + 2)
+    # the universe is every word listed, the classes checked those reaching the cap
+    universe = sum(len(c.members) for c in classes)
+    classes = [c for c in classes if len(c.members[0]) <= max_len]
     violations = _scan_classes(n, classes)
     canonical_words = sum(len(c.canonical_members) for c in classes)
     return OracleCertification(
@@ -205,18 +208,7 @@ def reference_certify(n: int, max_len: int) -> OracleCertification:
         tuple(violations),
         retried,
         not violations and len(classes) == canonical_words,
-    )
-
-
-def _fields(cert: OracleCertification) -> tuple:
-    return (
-        cert.rank,
-        cert.max_len,
-        cert.classes,
-        cert.canonical_words,
-        cert.violations,
-        cert.retried,
-        cert.holds,
+        universe,
     )
 
 
@@ -372,7 +364,7 @@ def test_closure_matches_merge_reference(n, max_len):
 def test_certification_matches_reference(n, max_len):
     cert = certify_reducer(n, max_len)
     assert cert.holds
-    assert _fields(cert) == _fields(reference_certify(n, max_len))
+    assert cert == reference_certify(n, max_len)
 
 
 def _wrong_past(cap, monkeypatch, fault=lambda letters, idx: 0):
@@ -538,20 +530,21 @@ def test_mismatches_past_the_cap_match_the_reference(n, max_len, violations, fau
     cert = certify_reducer(n, max_len)
     assert cert.retried and len(cert.violations) == violations
     assert {v["kind"] for v in cert.violations} == {"reducer_mismatch"}
-    assert _fields(cert) == _fields(reference_certify(n, max_len))
+    assert cert == reference_certify(n, max_len)
 
 
 # the whole certification, as JSON, under steps that claim words past the cap
 # canonical; reference_certify cannot run under them, since canonical_form
 # then returns a word that KElement rejects, so these digests come from a
-# certification that found its canonical words by scanning its memo
+# certification that found its canonical words by scanning its memo, read
+# over the eight fields the record keeps
 CANONICAL_CLAIM_DIGESTS = [
-    ("none", 3, 4, 17, "6dffd47f6e5446de9707a41015dbabac97dbfb868e4b72967c811aa551999008"),
-    ("none", 4, 4, 72, "df6f9e61f1cd43c214fc4b7a95b16c39759ce37a052a0f4a905a191e3171e57f"),
-    ("none", 3, 5, 17, "1e96ee806f816a805375ff34f901105122cb0147788d7789b779c26758e1ed5e"),
-    ("none_if_last_is_1", 3, 4, 13, "3330e5aa7cfc1ab67e08159361e102af604d1797c7debd4c51b67f80e12c7fda"),
-    ("none_if_last_is_1", 4, 4, 55, "a0e349f95cabe686ff96a5d1931f8055fb19fa89631322ab11649ffaeb5f6814"),
-    ("none_if_last_is_1", 3, 5, 13, "8632bee76443d0d6b2e1536813891c1f694a5f2f8197d14e9df1318da1ee512a"),
+    ("none", 3, 4, 17, "9c1b1dc7672ce170612b2956c0e3d09b3db4f17874810faa481176f6d8659fb7"),
+    ("none", 4, 4, 72, "9c809a9b0ea42e2a0c6d0824935894363358be1738c0b5730cbc9dffb7f7ebe2"),
+    ("none", 3, 5, 17, "227a439806f67d6b368e3be87b8d96920d546e5d94db7719becd4fe129cbacde"),
+    ("none_if_last_is_1", 3, 4, 13, "231adebd06107e76d6188ca8e3cdc87a6696d7b426fc124ebcbc18260064e6e2"),
+    ("none_if_last_is_1", 4, 4, 55, "fd3645727801b5565dabdce2562abe1e490d17c7aaf2f4f29d73471ee8a9b166"),
+    ("none_if_last_is_1", 3, 5, 13, "e94763c5df2f131538c7d82869988c6a40f352679e93320ff2320363025179ae"),
 ]
 
 
@@ -571,7 +564,7 @@ def test_memo_catches_a_deletion_past_the_shared_prefix(monkeypatch):
     _wrong_past(4, monkeypatch, FAULTS["last"])
     cert = certify_reducer(3, 4)
     assert not cert.holds and len(cert.violations) == 508
-    assert _fields(cert) == _fields(reference_certify(3, 4))
+    assert cert == reference_certify(3, 4)
 
 
 # faults where the owed-state pass stops at the word's last letter, which
@@ -606,9 +599,9 @@ def test_faults_at_the_last_letter_fail_the_certification(n, max_len, fault, mon
 
 
 def test_certification_peak_memory_is_pinned():
-    # the walk holds no per-call table beside the memo and the closure: a 736 KiB
+    # the walk holds no per-call table beside the memo and the closure: a 739 KiB
     # peak on Python 3.11 with the cached transition tables filled beforehand,
-    # and the bound allows 9% over it; the collector is held off across both
+    # and the bound allows 8% over it; the collector is held off across both
     # calls, so no collection before or inside the window moves the reading
     gc.disable()
     try:
@@ -716,7 +709,7 @@ def test_memo_catches_reducer_fault_past_the_cap(monkeypatch):
     mismatched = [v["word"].split() for v in cert.violations if v["kind"] == "reducer_mismatch"]
     assert any(len(w) > 4 for w in mismatched)
     # canonical_form meets the same fault on the longer members
-    assert _fields(cert) == _fields(reference_certify(3, 4))
+    assert cert == reference_certify(3, 4)
 
 
 def test_report_names_violations(monkeypatch):
@@ -750,16 +743,24 @@ def test_classes_without_a_canonical_member_are_violations(monkeypatch):
 
 
 def test_certification_counts():
-    def counts(cert):
-        return cert.retried, cert.universe, cert.reduced_directly, cert.reduced_by_memo
+    # the universe is every word up to the cap, raised by 2 on a retry, so
+    # (2, 7) holds 255 words and (3, 4) retries over 1 093
+    for n, max_len in CERTIFY_PAIRS:
+        retried = (n, max_len) not in [(2, 7), (5, 3), (6, 3)]  # the benchmark's pairs that do not retry
+        cap = max_len + 2 if retried else max_len
+        cert = certify_reducer(n, max_len)
+        assert (cert.retried, cert.universe) == (retried, sum(n**ell for ell in range(cap + 1)))
 
-    # no retry: the whole universe is reduced directly
-    assert counts(certify_reducer(2, 7)) == (False, 255, 255, 0)
-    # retry at cap 6: 1 093 words, 121 up to length 4; of the 972 longer
-    # words, the 966 in classes reaching length <= 4 are compared
-    cert = certify_reducer(3, 4)
-    assert counts(cert) == (True, 1093, 121, 966)
-    raised = reference_closure(3, 6)
-    assert cert.reduced_by_memo == sum(
-        sum(len(w) > 4 for w in c.members) for c in raised if len(c.members[0]) <= 4
+
+def test_certification_fields_are_pinned():
+    # the verdict and its evidence, the retry, and the universe reduced and compared
+    assert OracleCertification._fields == (
+        "rank",
+        "max_len",
+        "classes",
+        "canonical_words",
+        "violations",
+        "retried",
+        "holds",
+        "universe",
     )
