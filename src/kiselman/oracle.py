@@ -77,6 +77,21 @@ def _free_heads(n: int, max_len: int) -> list[list[int]]:
     return [level for level in levels if level]
 
 
+def _union(parent: list[int], edges: Iterable[tuple[int, int]]) -> None:
+    # path-halving finds; the smaller root wins, so each root is its class's first member
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+
+
 def _closure(n: int, max_len: int, listed: bool = False) -> list[int]:
     """root[i], the index of the first word in word i's class.
 
@@ -101,8 +116,10 @@ def _closure(n: int, max_len: int, listed: bool = False) -> list[int]:
     a b a, so at each length every instance merged before a run ends inside
     the prefix its words share: a run is touched as a whole or not at all.
     While every word of the higher run is still a root, one slice links it
-    to the lower run word by word; only touched runs, and the unit runs at
-    the last position, go through the path-halving finds.
+    to the lower run word by word.  A touched run whose parents equal the
+    lower run's word by word is merged already, and a unit link at the last
+    position whose higher word is a root is one assignment; only the other
+    links go through the path-halving finds of `_union`.
     """
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
@@ -121,19 +138,6 @@ def _closure(n: int, max_len: int, listed: bool = False) -> list[int]:
     _guard(total, what)
     # the longer words join a length at a time, into the room merged shorter ones free
     parent = list(range(offset[min(max_len, 1) + 1]))
-
-    def union(edges: Iterable[tuple[int, int]]) -> None:
-        for a, b in edges:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
 
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]  # digits, a < b
     swap = n * n - n + 1  # a b a -> b a b adds (b - a) * swap
@@ -163,9 +167,13 @@ def _closure(n: int, max_len: int, listed: bool = False) -> list[int]:
                 # higher run is its own root; lo < hi keeps the smaller roots
                 if parent[hi] == hi and sum(parent[hi : hi + run]) == run * hi + steps:
                     parent[hi : hi + run] = parent[lo : lo + run]
-                else:
-                    union(zip(range(lo, lo + run), range(hi, hi + run)))
-        union(starts(here, shorter, ell - 1, 1))
+                elif parent[hi : hi + run] != parent[lo : lo + run]:  # equal parents: one class already
+                    _union(parent, zip(range(lo, lo + run), range(hi, hi + run)))
+        for lo, hi in starts(here, shorter, ell - 1, 1):
+            if parent[hi] == hi:  # parent[lo] <= lo < hi keeps parent[i] <= i
+                parent[hi] = parent[lo]
+            elif parent[hi] != parent[lo]:
+                _union(parent, ((lo, hi),))
     # parent[i] <= i, so one pass in index order leaves every entry a root
     for i in range(total):
         parent[i] = parent[parent[i]]

@@ -4,8 +4,9 @@ references on large universes.
     PYTHONPATH=src python -W error tests/closure_sweep.py
 
 Pytest does not collect this file: the five closure pairs take about 20 s,
-most of it in the reference, and the three memo pairs about 30 s, most of
-it in `canonical_form`.  (4, 10) is the retry universe of the verify
+most of it in the reference, and each prints the closure's time beside
+the reference's; the three memo pairs take about 30 s, most of it in
+`canonical_form`.  (4, 10) is the retry universe of the verify
 suite's (4, 8).  Then, at (5, 7) and (6, 6), each owed-state pass of
 `test_oracle.STATE_UPDATES` is planted in the reducer and the walk's memo
 must be that pass's step put through every word, as `reference_memo`
@@ -48,10 +49,13 @@ FAULT_SWEEP_PAIRS = [(5, 5), (6, 4)]
 def main() -> int:
     for n, max_len in SWEEP_PAIRS:
         start = time.perf_counter()
-        if oracle._closure(n, max_len) != merge_closure(n, max_len):
+        root = oracle._closure(n, max_len)
+        middle = time.perf_counter()
+        if root != merge_closure(n, max_len):
             print(f"rank {n}, cap {max_len}: the closure's roots differ from the reference's")
             return 1
-        print(f"rank {n}, cap {max_len}: same roots ({time.perf_counter() - start:.1f} s)")
+        closure, reference = middle - start, time.perf_counter() - middle
+        print(f"rank {n}, cap {max_len}: same roots (closure {closure:.2f} s, reference {reference:.1f} s)")
     for n, max_len in MEMO_SWEEP_PAIRS:
         start = time.perf_counter()
         red = [0]

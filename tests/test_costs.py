@@ -1,6 +1,7 @@
 """How often a command rebuilds its work, counted by wrapping the builder,
 how often a certification or a reduction reads its transition table
-or validates a word, and how many canonical words the oracle walk reports.
+or validates a word, how many links reach the oracle closure's finds, and
+how many canonical words the oracle walk reports.
 
 Each figure is pinned, so a rebuild added or saved shows here as a changed
 count rather than only as time; a change that moves a figure gives the old
@@ -71,6 +72,39 @@ def test_table_reads_per_certification(n, max_len, reads, monkeypatch):
     counted = _counted_reads(monkeypatch, oracle)
     assert certify_reducer(n, max_len).holds
     assert len(counted) == reads
+
+
+def _union_edges(monkeypatch) -> list:
+    # every link oracle._union consumes, each one through the path-halving finds
+    real, edges = oracle._union, []
+
+    def counted(parent, links):
+        links = list(links)
+        edges.extend(links)
+        real(parent, links)
+
+    monkeypatch.setattr(oracle, "_union", counted)
+    return edges
+
+
+# the links that reach the closure's finds per certification at the STEP_CALLS pairs: a
+# touched run whose parents equal the lower run's, and a unit link whose higher word is a
+# root, skip them
+UNION_EDGES = [29, 537, 148, 450, 0, 0, 0, 8691]
+
+
+@pytest.mark.parametrize("n,max_len,edges", [(n, cap, e) for (n, cap, _), e in zip(STEP_CALLS, UNION_EDGES)])
+def test_closure_finds_per_certification(n, max_len, edges, monkeypatch):
+    counted = _union_edges(monkeypatch)
+    assert certify_reducer(n, max_len).holds
+    assert len(counted) == edges
+
+
+def test_closure_finds_at_the_largest_retry(monkeypatch):
+    # (4, 10), the retry universe of the verify suite's (4, 8)
+    counted = _union_edges(monkeypatch)
+    oracle._closure(4, 10)
+    assert len(counted) == 388642
 
 
 # the canonical words the walk reports at the STEP_CALLS pairs, counted by the

@@ -537,7 +537,8 @@ def test_mismatches_past_the_cap_match_the_reference(n, max_len, violations, fau
 # canonical; reference_certify cannot run under them, since canonical_form
 # then returns a word that KElement rejects, so these digests come from a
 # certification that found its canonical words by scanning its memo, read
-# over the eight fields the record keeps
+# over the eight fields the record keeps; the test ids leave the digest out,
+# so a digest pinned anew keeps its test's name
 CANONICAL_CLAIM_DIGESTS = [
     ("none", 3, 4, 17, "9c1b1dc7672ce170612b2956c0e3d09b3db4f17874810faa481176f6d8659fb7"),
     ("none", 4, 4, 72, "9c809a9b0ea42e2a0c6d0824935894363358be1738c0b5730cbc9dffb7f7ebe2"),
@@ -548,7 +549,11 @@ CANONICAL_CLAIM_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("fault,n,max_len,violations,digest", CANONICAL_CLAIM_DIGESTS)
+@pytest.mark.parametrize(
+    "fault,n,max_len,violations,digest",
+    CANONICAL_CLAIM_DIGESTS,
+    ids=[f"{fault}-{n}-{cap}-{violations}" for fault, n, cap, violations, _ in CANONICAL_CLAIM_DIGESTS],
+)
 def test_canonical_claims_past_the_cap_are_pinned(fault, n, max_len, violations, digest, monkeypatch):
     _wrong_past(max_len, monkeypatch, FAULTS[fault])
     with pytest.raises(ValueError, match="not a canonical word"):

@@ -141,6 +141,7 @@ def test_exact_suites_output_is_pinned():
     "suite, max_n, pinned",
     [
         pytest.param("reducer", 3, "bf84cc4a5ae1a098c2458eb5544a0a32c64791e856bbe5a58ad7cbb4908fee5a", id="reducer-3"),
+        pytest.param("reducer", 4, "ac8e6818d43ad8e741213f71d903c47ccf29c0ae0d1c02aeee521f88bd74eb7b", id="reducer-4"),
         pytest.param("bounds", 0, "a1aeebb61957de939e1486f872051aba9f4aa969e7f170ffaebf7f81b95fe432", id="bounds-0"),
         pytest.param("bounds", 1, "d4779e9abc05ab9dbb2359b6fbe12b3e9cc2b04008420c425eb68ebf8d853eba", id="bounds-1"),
         pytest.param("bounds", 2, "fbb2b7b9025861d4fb75f879fa8cf27c7504c87d32b77c3b30428bc8ded70b64", id="bounds-2"),
@@ -149,7 +150,7 @@ def test_exact_suites_output_is_pinned():
     ],
 )
 def test_suite_output_is_pinned(suite, max_n, pinned):
-    # rank 3's reducer check retries, so its note names the raised cap; the bounds suite has no
+    # ranks 3 and 4's reducer checks retry, so their notes name the raised caps; the bounds suite has no
     # odd rank at max_n 0 and no doubling pair at 1. Recompute from the repository root with
     # PYTHONPATH=src python -c "import hashlib, kiselman.verify as v, kiselman.reports as r; print(hashlib.sha256(
     # r.reports_to_json(v.run_suite('bounds', 7)).encode()).hexdigest())"   (and each suite and rank above)
