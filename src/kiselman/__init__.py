@@ -39,7 +39,6 @@ _HOMES = {
     "iter_canonical": "census",
     "count": "census",
     "longest_census": "census",
-    "congruence_closure": "oracle",
     "certify_reducer": "oracle",
     "lower_bound": "bounds",
     "km_upper_bound": "bounds",

@@ -28,12 +28,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import reduce
 from .words import _first_owed, _guard, _letter_masks
 
-__all__ = [
-    "CongruenceClass",
-    "OracleCertification",
-    "congruence_closure",
-    "certify_reducer",
-]
+__all__ = ["OracleCertification", "certify_reducer"]
 
 class CongruenceClass(NamedTuple):
     """One congruence class of bounded-length words, as raw letter tuples."""
@@ -187,7 +182,9 @@ def congruence_closure(n: int, max_len: int) -> list[CongruenceClass]:
     sides both fit under the cap joins them.  Derivations forced through
     longer intermediates can only split classes, never mix them, which the
     certification checks detect.  Classes are ordered by their first
-    member, and members by length, then lexicographically.
+    member, and members by length, then lexicographically.  This is the
+    tests' lister, outside `__all__`: it stays here only because the
+    benchmark's tracer wraps it by name (until ROADMAP item 12).
     """
     root = _closure(n, max_len, listed=True)
     masks = _letter_masks(n)

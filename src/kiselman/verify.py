@@ -31,7 +31,9 @@ def reducer_suite(max_n: int = 6) -> list[BoundReport]:
 
     lhs is the number of congruence classes, rhs the number of canonical
     words in the universe; a check passes iff they agree and the reducer
-    maps every member of every class to its canonical member.
+    maps every member of every class to its canonical member.  The checks
+    stop at `REDUCER_CHECKS`' rank 4, so ranks 5 and up are not certified
+    whatever max_n is; ROADMAP item 7 lifts that ceiling.
     """
     from . import oracle  # the only suite that runs the oracle, so the others do not load it
 

@@ -1,4 +1,6 @@
 import doctest
+import importlib.util
+import inspect
 import json
 import os
 import shutil
@@ -409,12 +411,15 @@ def test_public_api_is_pinned():
     assert sorted(kiselman.__all__) == [
         "BoundReport", "CanonicalViolation", "Census", "KElement", "LongestCensus",
         "ResourceGuardError", "Word", "__version__", "canonical_form",
-        "canonical_violation", "certify_reducer", "congruence_closure", "count", "generators",
-        "identity", "is_canonical", "iter_canonical", "km_upper_bound", "length_bound",
-        "longest_census", "lower_bound", "maximal_multiset", "multinomial", "multiply",
-        "parity_cap", "prefix_upper_bound", "reports_to_csv", "reports_to_json", "run_suite",
-        "scaled_log",
+        "canonical_violation", "certify_reducer", "count", "generators", "identity",
+        "is_canonical", "iter_canonical", "km_upper_bound", "length_bound", "longest_census",
+        "lower_bound", "maximal_multiset", "multinomial", "multiply", "parity_cap",
+        "prefix_upper_bound", "reports_to_csv", "reports_to_json", "run_suite", "scaled_log",
     ]
+    # the certificate is the oracle's only entry point; the listing oracle is the tests' reference
+    assert kiselman.oracle.__all__ == ["OracleCertification", "certify_reducer"]
+    with pytest.raises(AttributeError, match="'congruence_closure'"):
+        kiselman.congruence_closure
 
 
 def test_traced_module_lists_are_pinned():
@@ -425,3 +430,14 @@ def test_traced_module_lists_are_pinned():
         "prefix_upper_bound", "parity_cap", "scaled_log",
     ]
     assert kiselman.reports.__all__ == ["BoundReport", "reports_to_json", "reports_to_csv", "format_value"]
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's tracer wraps each (owner, attr) it names; a dropped or renamed
+    # name would otherwise fail only the traced benchmark runs
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, owner, attr in tracer._targets(kiselman):
+        assert inspect.isroutine(getattr(owner, attr, None)), name
