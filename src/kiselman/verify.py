@@ -26,7 +26,7 @@ REDUCER_CHECKS = ((1, 7), (2, 7), (3, 7), (4, 8))
 COUNTEREXAMPLE_WORD = (2, 3, 1, 2, 4, 3)
 
 
-def reducer_suite(max_n: int = 6) -> list[BoundReport]:
+def reducer_suite(max_n: int) -> list[BoundReport]:
     """Certify the deletion reducer against the congruence-closure oracle.
 
     lhs is the number of congruence classes, rhs the number of canonical
@@ -55,7 +55,7 @@ def reducer_suite(max_n: int = 6) -> list[BoundReport]:
     return reports
 
 
-def bounds_suite(max_n: int = 6) -> list[BoundReport]:
+def bounds_suite(max_n: int) -> list[BoundReport]:
     """Sandwich every enumerated count between the proved bounds.
 
     Exact integer comparisons throughout: the double-exponential lower
@@ -104,7 +104,7 @@ def bounds_suite(max_n: int = 6) -> list[BoundReport]:
     return reports
 
 
-def identities_suite(max_n: int = 6) -> list[BoundReport]:
+def identities_suite(max_n: int) -> list[BoundReport]:
     """Exact combinatorial identities and integer-form binomial estimates.
 
     The maximal-multiset multinomial of rank 2k equals the product over
@@ -236,7 +236,7 @@ def _doubling_report(n: int) -> BoundReport:
     return BoundReport("2-count-squared-below-count-n-plus-2", n, expected, total, holds, note)
 
 
-def structure_suite(max_n: int = 6) -> list[BoundReport]:
+def structure_suite(max_n: int) -> list[BoundReport]:
     """Longest-word structure: lengths, counts, factorization, embeddings."""
     from . import census
     longest = {n: census.longest_census(n) for n in range(1, max_n + 1)}
@@ -272,19 +272,18 @@ def structure_suite(max_n: int = 6) -> list[BoundReport]:
 
 
 def run_suite(suite: str, max_n: int = 6) -> list[BoundReport]:
-    if suite == "reducer":
-        return reducer_suite(max_n)
-    if suite == "bounds":
-        return bounds_suite(max_n)
-    if suite == "identities":
-        return identities_suite(max_n)
-    if suite == "structure":
-        return structure_suite(max_n)
-    if suite == "all":
-        # structure first, as its listing guard refuses a rank soonest; reports keep SUITES order
-        structure = structure_suite(max_n)
-        return [r for s in SUITES for r in (structure if s == "structure" else run_suite(s, max_n))]
-    raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
+    """Run the suite named `suite` from SUITES, or all four for "all", up to rank max_n.
+
+    Any other name, or a negative max_n, is a ValueError.  Each `<name>_suite` is looked up when it
+    runs; "all" runs structure first, as its listing guard refuses a rank soonest, yet reports in SUITES order.
+    """
+    if suite not in SUITES + ("all",):
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
+    if max_n < 0:
+        raise ValueError(f"rank must be nonnegative, got {max_n}")
+    names = SUITES if suite == "all" else (suite,)
+    reports = {s: globals()[f"{s}_suite"](max_n) for s in sorted(names, key=lambda s: s != "structure")}
+    return [r for s in names for r in reports[s]]
 
 
 def failing(reports: list[BoundReport]) -> list[BoundReport]:

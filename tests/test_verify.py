@@ -111,10 +111,29 @@ def test_run_all_keeps_suites_order(monkeypatch):
     assert expected[0].name == "reducer-stub"
 
 
-def test_run_suite_dispatch():
+@pytest.mark.parametrize("name", verify.SUITES)
+def test_run_suite_dispatch(name, monkeypatch):
     assert verify.run_suite("reducer", max_n=1)[0].holds
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         verify.run_suite("nonsense")
+    assert str(refused.value) == (
+        "unknown suite 'nonsense'; choose from ('reducer', 'bounds', 'identities', 'structure', 'all')"
+    )
+    # each name in SUITES runs the module function of that name, looked up when it runs,
+    # so a patched or traced suite is the one dispatched
+    suites = {attr for attr in vars(verify) if attr.endswith("_suite") and attr != "run_suite"}
+    assert suites == {f"{s}_suite" for s in verify.SUITES}
+    assert callable(getattr(verify, f"{name}_suite"))
+    stub = [BoundReport(f"{name}-stub", 3, 0, 0, True)]
+    monkeypatch.setattr(verify, f"{name}_suite", lambda max_n: stub if max_n == 3 else [])
+    assert verify.run_suite(name, 3) == stub
+
+
+@pytest.mark.parametrize("suite", [*verify.SUITES, "all"])
+def test_run_suite_refuses_a_negative_rank(suite):
+    # as count(-1) does; an empty or fixed report list would pass vacuously
+    with pytest.raises(ValueError, match=r"^rank must be nonnegative, got -2$"):
+        verify.run_suite(suite, -2)
 
 
 def test_failing_and_all_hold():
