@@ -7,8 +7,8 @@ b*a*b = a*b, a*b*a = b*a*b, for a < b) inside the cap.  Each class must
 contain exactly one canonical word and the reducer must map every member
 onto it.  This is the independent ground truth against which the
 reduction rule is validated; it assumes nothing about the rule itself.
-The reducer checked is the iterated leftmost deletion of
-`reduce._deletion_index`, which the certification steps over the whole
+The reducer checked is the iterated leftmost deletion whose index
+`reduce._first_owed` returns, which the certification steps over the whole
 universe, in one walk over the prefixes its memo maps to themselves, the
 canonical ones.  Each step resumes the pass at the end of its prefix,
 from the trail of owed states that the pass under test built over it,
@@ -235,16 +235,18 @@ def _canonical_by_class(root: list[int], kept: int, fixed: list[int]) -> dict[in
 def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> list[int]:
     """Extend red, which holds the words shorter than first, over the words
     of length first..last, and return the indices it maps to themselves,
-    the canonical words; a prefix red maps to itself is canonical.  A run
-    gets one slice when the step deletes its first word inside the prefix
-    the run shares, and goes through the step word by word otherwise.
-    Each canonical prefix keeps the trail that `reduce._first_owed` built
-    over it, so every step resumes the pass where the prefix ends.  A
-    run's first word, p x 1 ... 1, is written over one list of 1s grown a
-    letter per length and undone after the step, so at rank 1 the walk is
-    linear in the cap.  A slice copies shorter words' entries, so only the
-    step's None makes a word its own reduction."""
-    step, owed = reduce._deletion_index, reduce._first_owed  # the reducer's own lookups, patched or not
+    the canonical words; a prefix red maps to itself is canonical.  A step
+    is one call of `reduce._first_owed`, which returns the index to
+    delete, as in `canonical_form`.  A run gets one slice when the step
+    deletes its first word inside the prefix the run shares, and goes
+    through the step word by word otherwise.  Each canonical prefix keeps
+    the trail that one more call of the same pass built over it, so every
+    step resumes the pass where the prefix ends.  A run's first word,
+    p x 1 ... 1, is written over one list of 1s grown a letter per length
+    and undone after the step, so at rank 1 the walk is linear in the cap.
+    A slice copies shorter words' entries, so only the step's None makes a
+    word its own reduction."""
+    owed = reduce._first_owed  # the reducer's own pass, patched or not: each step and each trail
     masks = _letter_masks(n)
     power, offset = _layout(n, last)
     fixed: list[int] = []
@@ -263,11 +265,11 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> list[int]:
             if e + 1 == ell:  # each extension is a run of one word: step it as it is
                 for x in range(1, n + 1):
                     v = value * n + x - 1
-                    d = step(prefix + (x,), masks, trail)
+                    hit = owed(prefix + (x,), masks, trail)
                     del trail[e + 1 :]
-                    if d is None:
+                    if hit is None:
                         fixed.append(here + v)
-                    red[here + v] = here + v if d is None else red[shorter + cut(v, power[e - d])]
+                    red[here + v] = here + v if hit is None else red[shorter + cut(v, power[e - hit[1]])]
                 continue
             at = offset[e + 1]  # the extensions are shorter than ell, so their entries are filled
             for x in range(1, n + 1):
@@ -280,19 +282,19 @@ def _reduce_walk(n: int, first: int, last: int, red: list[int]) -> list[int]:
                 run = power[ell - 1 - e]
                 hi = here + v * run
                 ones[: e + 1] = w
-                d = step(ones, masks, trail)
+                hit = owed(ones, masks, trail)
                 ones[: e + 1] = unit[: e + 1]
                 del trail[e + 1 :]
-                if d is not None and d <= e:
-                    lo = shorter + cut(v, power[e - d]) * run
+                if hit is not None and hit[1] <= e:
+                    lo = shorter + cut(v, power[e - hit[1]]) * run
                     red[hi : hi + run] = red[lo : lo + run]
                 else:
                     for i, tail in enumerate(product(range(1, n + 1), repeat=ell - 1 - e), hi):
-                        d = step(w + tail, masks, trail)
+                        hit = owed(w + tail, masks, trail)
                         del trail[e + 1 :]
-                        if d is None:
+                        if hit is None:
                             fixed.append(i)
-                        red[i] = i if d is None else red[shorter + cut(i - here, power[ell - 1 - d])]
+                        red[i] = i if hit is None else red[shorter + cut(i - here, power[ell - 1 - hit[1]])]
     return fixed
 
 

@@ -5,7 +5,8 @@ generalize to a single deletion rule on consecutive occurrences of a
 letter: if the gap between them has no smaller letter the later
 occurrence is redundant, if it has no greater letter the earlier one is.
 The leftmost such pair is where the owed-smaller / owed-greater pass that
-decides canonicity first stops, so the reducer and the predicate share it.
+decides canonicity first stops, and the pass returns the index to delete
+there, so the reducer and the predicate share it: one call per deletion.
 Iterating the rule terminates in a canonical word; that this word is the
 canonical form of the input (i.e. that the rule is confluent and respects
 the congruence) is certified empirically by the congruence-closure oracle
@@ -14,9 +15,7 @@ on all small ranks rather than assumed.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from .words import Word, _first_owed, _letter_masks, _previous, _Value, is_canonical
+from .words import Word, _first_owed, _letter_masks, _Value, is_canonical
 
 __all__ = ["KElement", "canonical_form", "multiply", "identity", "generators"]
 
@@ -42,28 +41,12 @@ class KElement(_Value):
         return self.word.to_text()
 
 
-def _deletion_index(
-    letters: Sequence[int], masks: tuple[tuple[int, int, int] | None, ...], trail: list[tuple[int, int]] | None = None
-) -> int | None:
-    # Leftmost reducible pair of consecutive equal letters, ordered by the
-    # position of the second occurrence: the first letter the owed-state
-    # pass stops at.  Returns the index to delete.  Letters are any
-    # sequence; masks is `_letter_masks`' table, None at entry 0.  A trail
-    # resumes the pass; without one it starts at position 0.
-    hit = _first_owed(letters, masks, trail)
-    if hit is None:
-        return None
-    j, owes_smaller = hit
-    # no smaller letter in the gap: the later occurrence is redundant;
-    # otherwise there is no greater one and the earlier occurrence is
-    return j if owes_smaller else _previous(letters, j)
-
-
 def canonical_form(word: Word) -> KElement:
     """Reduce to the unique canonical word by iterated deletion.
 
-    The letters are held in a list and each deletion is made in place, so
-    no step builds a new word; after deleting index d the pass resumes at d,
+    The letters are held in a list and each deletion, at the index d the
+    pass returns, is made in place, so no step builds a new word and each
+    costs one call of the pass; after deleting d the pass resumes at d,
     from the owed state a trail keeps before each position, which the
     letters before it alone fix.  Each step shortens the word, so this
     terminates; the fixed point is checked once, by the element's own
@@ -73,9 +56,9 @@ def canonical_form(word: Word) -> KElement:
     masks = _letter_masks(word.rank)
     letters = list(word.letters)
     trail = [(0, 0)]  # trail[k]: the owed state (ns, ng) before letters[k]
-    # the step is a global, looked up at each call: a patched step is the one run
-    while (idx := _deletion_index(letters, masks, trail)) is not None:
-        del letters[idx], trail[idx + 1 :]  # the letters first: an index past the end raises
+    # the pass is a global, looked up at each call: a patched pass is the one run
+    while (hit := _first_owed(letters, masks, trail)) is not None:
+        del letters[hit[1]], trail[hit[1] + 1 :]  # the letters first: an index past the end raises
     return KElement(Word(tuple(letters), word.rank))
 
 

@@ -6,8 +6,9 @@ at least one letter above a and at least one letter below a; canonical
 words are the unique shortest representatives of semigroup elements.
 
 Canonicity is decided in one left-to-right pass over two bitmasks, the
-letters still owed a smaller and a greater letter; the reducer and the
-census step through the same transition table, `_letter_masks`.
+letters still owed a smaller and a greater letter, and where it stops the
+same pass names the reducer's deletion; the reducer and the census step
+through the same transition table, `_letter_masks`.
 """
 
 from __future__ import annotations
@@ -176,14 +177,15 @@ def _build_letter_masks(n: int) -> tuple[tuple[int, int, int] | None, ...]:
 
 def _first_owed(
     letters: Sequence[int], masks: tuple[tuple[int, int, int] | None, ...], trail: list[tuple[int, int]] | None = None
-) -> tuple[int, bool] | None:
+) -> tuple[int, int] | None:
     """One left-to-right pass over the owed state.
 
-    Returns the index j of the first letter whose bit is still owed, i.e.
-    the later occurrence of the first pair (ordered by its later
-    occurrence) to break the gap condition, and whether that letter owes a
-    smaller one (its gap since the previous occurrence has no smaller
-    letter).  None when the word is canonical.  Letters, any sequence of
+    Returns (j, d), or None when the word is canonical.  j is the index of
+    the first letter whose bit is still owed, i.e. the later occurrence of
+    the first pair (ordered by its later occurrence) to break the gap
+    condition.  d is the index the reducer deletes: j when the letter owes
+    a smaller one (its gap since the previous occurrence has no smaller
+    letter), else that previous occurrence.  Letters, any sequence of
     them, must lie in 1..len(masks) - 1; masks is `_letter_masks`' table,
     whose entry 0 is None.  The pass keeps a trail, whose entry k is the
     state (ns, ng) before letter k: it starts at the trail's last entry
@@ -198,15 +200,12 @@ def _first_owed(
     for j in range(len(trail) - 1, len(letters)):
         bit, keep_ns, keep_ng = masks[letters[j]]
         if (ns | ng) & bit:
-            return j, bool(ns & bit)
+            # no smaller letter in the gap: the later occurrence is redundant;
+            # otherwise there is no greater one and the earlier occurrence is
+            return j, j if ns & bit else j - 1 - letters[j - 1 :: -1].index(letters[j])
         ns, ng = (ns & keep_ns) | bit, (ng & keep_ng) | bit
         trail.append((ns, ng))
     return None
-
-
-def _previous(letters: Sequence[int], j: int) -> int:
-    """Index of the last occurrence of letters[j] before j; one must exist."""
-    return j - 1 - letters[j - 1 :: -1].index(letters[j])
 
 
 def canonical_violation(word: Word) -> CanonicalViolation | None:
@@ -222,8 +221,8 @@ def canonical_violation(word: Word) -> CanonicalViolation | None:
     hit = _first_owed(letters, _letter_masks(word.rank))
     if hit is None:
         return None
-    j = hit[0]
-    return CanonicalViolation(letters[j], _previous(letters, j) + 1, j + 1)
+    j, x = hit[0], letters[hit[0]]
+    return CanonicalViolation(x, j - letters[j - 1 :: -1].index(x), j + 1)
 
 
 def is_canonical(word: Word) -> bool:

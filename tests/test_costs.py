@@ -1,7 +1,8 @@
 """How often a command rebuilds its work, counted by wrapping the builder,
-how often a certification or a reduction reads its transition table
-or validates a word, how many links reach the oracle closure's finds, and
-how many canonical words the oracle walk reports.
+how often a certification or a reduction reads its transition table,
+calls its owed-state pass or validates a word, how many links reach the
+oracle closure's finds, and how many canonical words the oracle walk
+reports.
 
 Each figure is pinned, so a rebuild added or saved shows here as a changed
 count rather than only as time; a change that moves a figure gives the old
@@ -10,7 +11,7 @@ and new figure in `CHANGES.md`.
 
 import pytest
 
-from kiselman import census, cli, oracle
+from kiselman import census, cli, oracle, reduce
 from kiselman.oracle import certify_reducer
 from kiselman.reduce import KElement, canonical_form, multiply
 from kiselman.words import Word
@@ -141,3 +142,19 @@ def test_word_validations_per_reduction(text, monkeypatch):
     validated.clear()
     multiply(x, y)
     assert len(validated) == 2
+
+
+@pytest.mark.parametrize("text", WORDS)
+def test_pass_calls_per_reduction(text, monkeypatch):
+    # one call of the owed-state pass per deletion, which it returns, and one on the
+    # canonical word left: "1 1 1 1" deletes three letters in four calls; no step
+    # function stands between canonical_form and the pass to double them
+    assert not hasattr(reduce, "_deletion_index")
+    word = Word.from_text(text, 3)
+    x, y = canonical_form(word), KElement(Word((2, 1), 3))
+    passes = _record(monkeypatch, reduce, "_first_owed")
+    canonical_form(word)
+    assert len(passes) == len(word) - len(x.word) + 1
+    passes.clear()
+    product = multiply(x, y)
+    assert len(passes) == len(x.word) + len(y.word) - len(product.word) + 1

@@ -164,19 +164,19 @@ def merge_closure(n: int, max_len: int) -> list[int]:
 
 
 def reference_memo(n: int, first: int, last: int, red: list[int]) -> None:
-    # every word of length first..last through the reducer's step, in index
+    # every word of length first..last through the reducer's pass, in index
     # order: it reduces to what its first deletion leaves reduces to
-    step = reduce._deletion_index
+    step = reduce._first_owed
     masks = words._letter_masks(n)
     power, offset = oracle._layout(n, last)
     for ell in range(first, last + 1):
         here, shorter = offset[ell], offset[ell - 1]
         for value, w in enumerate(product(range(1, n + 1), repeat=ell)):
-            d = step(w, masks)
-            if d is None:
+            hit = step(w, masks)
+            if hit is None:
                 red.append(here + value)
             else:
-                r = power[ell - 1 - d]
+                r = power[ell - 1 - hit[1]]
                 red.append(red[shorter + value // (r * n) * r + value % r])
 
 
@@ -368,16 +368,19 @@ def test_certification_matches_reference(n, max_len):
 
 
 def _wrong_past(cap, monkeypatch, fault=lambda letters, idx: 0):
-    # the reducer's step deletes at fault(letters, idx), given the true index,
+    # the reducer's pass deletes at fault(letters, idx), given the true index,
     # in any reducible word longer than the cap: the first letter unless given;
-    # canonicity is untouched
-    step = reduce._deletion_index
+    # the pass's stop and its trail are untouched, and None claims the word canonical
+    step = reduce._first_owed
 
     def faulty(letters, masks, trail=None):  # canonical_form's trail is forwarded
-        idx = step(letters, masks, trail)
-        return fault(letters, idx) if idx is not None and len(letters) > cap else idx
+        hit = step(letters, masks, trail)
+        if hit is None or len(letters) <= cap:
+            return hit
+        idx = fault(letters, hit[1])
+        return None if idx is None else (hit[0], idx)
 
-    monkeypatch.setattr(reduce, "_deletion_index", faulty)
+    monkeypatch.setattr(reduce, "_first_owed", faulty)
 
 
 # faults past the cap: inside the prefix a run shares, a claim that the
@@ -426,10 +429,16 @@ def test_faults_at_every_length_fail_the_certification(fault, monkeypatch):
     assert cert.violations and not cert.holds
 
 
+def previous(letters, j: int) -> int:
+    # the last occurrence of letters[j] before j, found letter by letter
+    return max(i for i in range(j) if letters[i] == letters[j])
+
+
 def _first_owed_with(update, start=lambda trail: (len(trail) - 1, trail[-1])):
     # the owed-state pass with update(ns, ng, bit, keep_ns, keep_ng) in place of its
     # transition, starting at start(trail), a position and its state; like the true
-    # pass it starts by default at the trail's last state, and it extends the trail
+    # pass it starts by default at the trail's last state, extends the trail, and
+    # returns its stop with the index to delete there
     def first_owed(letters, masks, trail=None):
         if trail is None:
             trail = [(0, 0)]
@@ -437,7 +446,7 @@ def _first_owed_with(update, start=lambda trail: (len(trail) - 1, trail[-1])):
         for j in range(first, len(letters)):
             bit, keep_ns, keep_ng = masks[letters[j]]
             if (ns | ng) & bit:
-                return j, bool(ns & bit)
+                return j, j if ns & bit else previous(letters, j)
             ns, ng = update(ns, ng, bit, keep_ns, keep_ng)
             trail.append((ns, ng))
         return None
@@ -577,7 +586,7 @@ def test_memo_catches_a_deletion_past_the_shared_prefix(monkeypatch):
 # deletion of the other occurrence of the pair
 LAST_LETTER_FAULTS = {
     "none": lambda letters, idx: None,
-    "other": lambda letters, idx: words._previous(letters, idx) if idx == len(letters) - 1 else len(letters) - 1,
+    "other": lambda letters, idx: previous(letters, idx) if idx == len(letters) - 1 else len(letters) - 1,
 }
 
 
@@ -585,14 +594,16 @@ LAST_LETTER_FAULTS = {
 @pytest.mark.parametrize("n,max_len", [(5, 3), (6, 3), (2, 7)])
 def test_faults_at_the_last_letter_fail_the_certification(n, max_len, fault, monkeypatch):
     # none of these pairs retries, so _wrong_past's faults past the cap never reach them
-    step = reduce._deletion_index
+    step = reduce._first_owed
 
     def faulty(letters, masks, trail=None):
-        idx = step(letters, masks, trail)
-        hit = words._first_owed(letters, masks)
-        return LAST_LETTER_FAULTS[fault](letters, idx) if hit and hit[0] == len(letters) - 1 else idx
+        hit = step(letters, masks, trail)
+        if hit is None or hit[0] != len(letters) - 1:
+            return hit
+        idx = LAST_LETTER_FAULTS[fault](letters, hit[1])
+        return None if idx is None else (hit[0], idx)
 
-    monkeypatch.setattr(reduce, "_deletion_index", faulty)
+    monkeypatch.setattr(reduce, "_first_owed", faulty)
     cert = certify_reducer(n, max_len)
     assert not cert.retried and not cert.holds
     kind = "multiple_canonical_members" if fault == "none" else "reducer_mismatch"
@@ -637,21 +648,29 @@ STEP_CALLS = [(3, 4, 140), (3, 5, 177), (4, 4, 720), (5, 4, 3330), (2, 7, 36), (
 def test_walk_steps_once_per_run_at_every_length(n, max_len, calls, monkeypatch):
     # every length from 1 to the cap, and to the cap + 2 on a retry, takes
     # walk_runs' steps and no other, each on a canonical word or on a run's
-    # first word p x 1 ... 1, all 1s past the letter x where the pass stops
-    step = reduce._deletion_index
-    stepped = []
+    # first word p x 1 ... 1, all 1s past the letter x where the pass stops;
+    # the pass's other calls extend a pushed prefix's trail, one per canonical
+    # word of length k at each longer length the walk goes through
+    step = reduce._first_owed
+    passes = []
 
     def counted(letters, masks, trail=None):
-        stepped.append(tuple(letters))
+        passes.append((tuple(letters), trail, len(trail)))
         return step(letters, masks, trail)
 
-    monkeypatch.setattr(reduce, "_deletion_index", counted)
+    monkeypatch.setattr(reduce, "_first_owed", counted)
     cert = certify_reducer(n, max_len)
     assert cert.holds
     last = max_len + 2 if cert.retried else max_len
+    # the walk cuts a step's trail back after it, and keeps the state an extension added
+    stepped = [w for w, trail, before in passes if len(trail) == before]
+    extended = [len(w) for w, trail, before in passes if len(trail) == before + 1]
+    assert len(stepped) + len(extended) == len(passes)
     lengths = [len(w) for w in stepped]
     assert [lengths.count(ell) for ell in range(1, last + 1)] == [walk_runs(n, ell) for ell in range(1, last + 1)]
     assert len(lengths) == calls
+    c = count(n).by_length
+    assert [extended.count(k) for k in range(1, last + 1)] == [(last - k) * c.get(k, 0) for k in range(1, last + 1)]
     masks = words._letter_masks(n)
     for w in stepped:
         hit = words._first_owed(w, masks)
@@ -681,7 +700,7 @@ def test_rank_one_certification_steps_once_per_length():
 def test_rank_one_steps_share_one_word(monkeypatch):
     # past length 2 every step reads "1"·l, written over one list grown a
     # letter per length, not a word built whole at every length
-    step, seen = reduce._deletion_index, []
+    step, seen = reduce._first_owed, []
 
     def recorded(letters, masks, trail=None):
         if len(letters) > 2:
@@ -689,7 +708,7 @@ def test_rank_one_steps_share_one_word(monkeypatch):
             seen.append(letters)
         return step(letters, masks, trail)
 
-    monkeypatch.setattr(reduce, "_deletion_index", recorded)
+    monkeypatch.setattr(reduce, "_first_owed", recorded)
     assert certify_reducer(1, 50).holds
     assert len(seen) == 48 and all(letters is seen[0] for letters in seen)
 
@@ -726,9 +745,9 @@ def test_report_names_violations(monkeypatch):
 
 
 def test_memo_catches_canonical_claims_past_the_cap(monkeypatch):
-    # the step finds nothing to delete in any word longer than the cap
-    step = reduce._deletion_index
-    monkeypatch.setattr(reduce, "_deletion_index", lambda w, masks, trail=None: None if len(w) > 4 else step(w, masks, trail))
+    # the pass finds nothing to delete in any word longer than the cap
+    step = reduce._first_owed
+    monkeypatch.setattr(reduce, "_first_owed", lambda w, masks, trail=None: None if len(w) > 4 else step(w, masks, trail))
     cert = certify_reducer(3, 4)
     multiple = [v for v in cert.violations if v["kind"] == "multiple_canonical_members"]
     assert multiple and not cert.holds
@@ -736,9 +755,9 @@ def test_memo_catches_canonical_claims_past_the_cap(monkeypatch):
 
 
 def test_classes_without_a_canonical_member_are_violations(monkeypatch):
-    # a step that always deletes leaves the empty word the one word that reduces to itself
-    step = reduce._deletion_index
-    monkeypatch.setattr(reduce, "_deletion_index", lambda w, masks, trail=None: step(w, masks, trail) or 0)
+    # a pass that always deletes leaves the empty word the one word that reduces to itself
+    step = reduce._first_owed
+    monkeypatch.setattr(reduce, "_first_owed", lambda w, masks, trail=None: step(w, masks, trail) or (0, 0))
     cert = certify_reducer(2, 3)
     assert cert.retried and not cert.holds
     assert cert.violations == tuple({"kind": "no_canonical_member", "class_rep": r} for r in ("1", "2", "1 2", "2 1"))

@@ -1,7 +1,7 @@
 """Differential and property tests, at ranks beyond the oracle's reach.
 
-The mask scan behind `canonical_violation` and the reducer's deletion
-index are compared against the gap-slicing definitions they replace, kept
+The mask scan behind `canonical_violation` and the deletion index it
+returns to the reducer are compared against the gap-slicing definitions they replace, kept
 here as references, also on products of two near-maximal canonical words,
 whose deletions cascade deep at the junction; the reducer is checked for
 idempotence, content, canonicity, the reverse-and-flip anti-automorphism
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kiselman.reduce import KElement, _deletion_index, canonical_form, multiply
+from kiselman.reduce import KElement, canonical_form, multiply
 from kiselman.words import (
     CanonicalViolation,
     Word,
@@ -47,7 +47,7 @@ def reference_violation(word: Word) -> CanonicalViolation | None:
     return None
 
 
-def reference_deletion_index(letters: tuple[int, ...]) -> int | None:
+def reference_deletion(letters: tuple[int, ...]) -> int | None:
     # leftmost reducible pair of consecutive equal letters, by the position
     # of the second occurrence, with every gap sliced and scanned
     last_seen: dict[int, int] = {}
@@ -64,9 +64,15 @@ def reference_deletion_index(letters: tuple[int, ...]) -> int | None:
 
 
 def reference_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
-    while (idx := reference_deletion_index(letters)) is not None:
+    while (idx := reference_deletion(letters)) is not None:
         letters = letters[:idx] + letters[idx + 1 :]
     return letters
+
+
+def deletion(letters, masks) -> int | None:
+    # the index the owed-state pass returns to delete, from position 0
+    hit = _first_owed(letters, masks)
+    return None if hit is None else hit[1]
 
 
 def flip(letters: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -106,21 +112,21 @@ def test_mask_scan_gives_the_gap_scan_witness(word):
 
 @PROPERTY
 @given(words())
-def test_mask_deletion_index_matches_gap_slicing(word):
-    assert _deletion_index(word.letters, _letter_masks(word.rank)) == reference_deletion_index(word.letters)
+def test_mask_deletion_matches_gap_slicing(word):
+    assert deletion(word.letters, _letter_masks(word.rank)) == reference_deletion(word.letters)
     assert canonical_form(word).word.letters == reference_reduce(word.letters)
 
 
 @PROPERTY
 @given(words(max_rank=16), st.data())
-def test_deletion_index_ignores_what_follows_its_stop(word, data):
+def test_deletion_ignores_what_follows_its_stop(word, data):
     # any suffix in place of everything after the stop leaves the deletion
     masks = _letter_masks(word.rank)
     hit = _first_owed(word.letters, masks)
     if hit is not None:
         suffix = tuple(data.draw(st.lists(st.integers(1, word.rank), max_size=60)))
         head = word.letters[: hit[0] + 1]
-        assert _deletion_index(head + suffix, masks) == _deletion_index(word.letters, masks)
+        assert _first_owed(head + suffix, masks) == hit
 
 
 @PROPERTY
@@ -155,7 +161,7 @@ def test_products_of_long_canonical_words_reduce_as_the_references_do(pair):
     assert min(len(u), len(v)) >= length_bound(n) - 2
     masks = _letter_masks(n)
     letters = list(u + v)
-    while (d := _deletion_index(letters, masks)) is not None:  # each step from position 0
+    while (d := deletion(letters, masks)) is not None:  # each step from position 0
         del letters[d]
     reduced = canonical_form(Word(u + v, n)).word.letters
     assert reduced == tuple(letters) == reference_reduce(u + v)
@@ -176,7 +182,7 @@ def test_multiply_is_associative(triple):
 
 
 # The replay checker knows only the defining relations, each applied at one position in either
-# direction, and reads each gap itself; it calls none of _first_owed, _letter_masks and _previous.
+# direction, and reads each gap itself; it calls neither _first_owed nor _letter_masks.
 
 
 def is_relation(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
@@ -232,7 +238,7 @@ def replay_reduction(word: Word) -> None:
     # the reducer steps as canonical_form does; the checker replays each deletion it claims
     masks = _letter_masks(word.rank)
     letters = word.letters
-    while (d := _deletion_index(letters, masks)) is not None:
+    while (d := deletion(letters, masks)) is not None:
         reduced = letters[:d] + letters[d + 1 :]
         assert replay_deletion(letters, d) == reduced, (letters, d)
         letters = reduced

@@ -10,13 +10,12 @@ from kiselman import reduce
 from kiselman.census import iter_canonical
 from kiselman.reduce import (
     KElement,
-    _deletion_index,
     canonical_form,
     generators,
     identity,
     multiply,
 )
-from kiselman.words import Word, _letter_masks, is_canonical
+from kiselman.words import Word, _first_owed, _letter_masks, is_canonical
 from long_words import spliced
 
 
@@ -47,7 +46,7 @@ def test_canonical_words_are_fixed_points():
         masks = _letter_masks(n)
         for letters in iter_canonical(n):
             w = Word(letters, n)
-            assert _deletion_index(letters, masks) is None
+            assert _first_owed(letters, masks) is None
             assert canonical_form(w).word == w
 
 
@@ -56,14 +55,17 @@ def test_delete_step_shortens():
     masks = _letter_masks(2)
     letters = (1, 2, 1, 2)
     deleted = []
-    while (idx := _deletion_index(letters, masks)) is not None:
+    while (hit := _first_owed(letters, masks)) is not None:
+        idx = hit[1]
         letters = letters[:idx] + letters[idx + 1 :]
         deleted.append(idx)
     assert deleted == [2, 2]
     assert letters == (1, 2)
     # an empty gap, where both deletions apply, drops the later occurrence
-    assert _deletion_index((2, 1, 1), masks) == 2
-    assert _deletion_index((2, 2), masks) == 1
+    assert _first_owed((2, 1, 1), masks) == (2, 2)
+    assert _first_owed((2, 2), masks) == (1, 1)
+    # a gap with no greater letter drops the earlier occurrence: the pass stops at 2 and deletes 0
+    assert _first_owed((2, 1, 2), masks) == (2, 0)
 
 
 def test_a_long_run_of_one_letter_reduces_in_place():
@@ -110,17 +112,17 @@ def test_a_product_of_long_words_reads_a_few_entries_per_letter(seed, monkeypatc
 
 
 def test_a_deletion_past_the_end_raises(monkeypatch):
-    # the step is looked up in the module at each call, and its index is deleted as given;
-    # the patch stops a reducer that would step again on the word it left unchanged
+    # the pass is looked up in the module at each call, and its deletion index is deleted
+    # as given; the patch stops a reducer that would step again on the word it left unchanged
     calls = []
 
     def past_the_end(letters, masks, trail=None):
         calls.append(len(letters))
         if len(calls) > 2:
             raise RuntimeError("the word was left unchanged")
-        return len(letters)
+        return len(letters) - 1, len(letters)
 
-    monkeypatch.setattr(reduce, "_deletion_index", past_the_end)
+    monkeypatch.setattr(reduce, "_first_owed", past_the_end)
     with pytest.raises(IndexError):
         canonical_form(Word((1, 1), 1))
     assert calls == [2]
