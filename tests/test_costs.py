@@ -9,6 +9,8 @@ count rather than only as time; a change that moves a figure gives the old
 and new figure in `CHANGES.md`.
 """
 
+import sys
+
 import pytest
 
 from kiselman import census, cli, oracle, reduce
@@ -147,14 +149,19 @@ def test_word_validations_per_reduction(text, monkeypatch):
 @pytest.mark.parametrize("text", WORDS)
 def test_pass_calls_per_reduction(text, monkeypatch):
     # one call of the owed-state pass per deletion, which it returns, and one on the
-    # canonical word left: "1 1 1 1" deletes three letters in four calls; no step
-    # function stands between canonical_form and the pass to double them
-    assert not hasattr(reduce, "_deletion_index")
+    # canonical word left, each made by canonical_form itself and not by a step
+    # function between them: "1 1 1 1" deletes three letters in four calls
+    real, callers = reduce._first_owed, []
+
+    def recorded(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
     word = Word.from_text(text, 3)
     x, y = canonical_form(word), KElement(Word((2, 1), 3))
-    passes = _record(monkeypatch, reduce, "_first_owed")
+    monkeypatch.setattr(reduce, "_first_owed", recorded)
     canonical_form(word)
-    assert len(passes) == len(word) - len(x.word) + 1
-    passes.clear()
+    assert callers == ["canonical_form"] * (len(word) - len(x.word) + 1)
+    callers.clear()
     product = multiply(x, y)
-    assert len(passes) == len(x.word) + len(y.word) - len(product.word) + 1
+    assert callers == ["canonical_form"] * (len(x.word) + len(y.word) - len(product.word) + 1)
