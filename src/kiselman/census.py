@@ -19,7 +19,6 @@ words; the bounds and structure suites in `verify` report on them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -45,6 +44,8 @@ class Census:
     max_length: int
 
     def to_json(self) -> str:
+        import json  # here, so that the commands that print no JSON never load it
+
         # the words of maximal length, f(n), are the top coefficient of the census
         payload = {
             "rank": self.rank,
@@ -146,6 +147,9 @@ def longest_census(n: int) -> LongestCensus:
     Lists the maximal prefixes of half the maximal length forward, and the
     maximal suffixes of their states backward, children in increasing letter
     order, and joins each prefix with its state's suffixes: sorted, as built.
+    Reads the table 2 + sum times, the sum counting the unblocked letters of each
+    distinct state a maximal prefix shorter than L(n) ends in: a state's longest
+    extension fixes its depth, so each state is visited once.
     """
     if n < 1:
         raise ValueError(f"need rank >= 1, got {n}")
@@ -156,23 +160,25 @@ def longest_census(n: int) -> LongestCensus:
     # output hold at most f * (half + (best - half) + best) = 2 * f * best letters
     _guard(2 * (table[0] >> (best * slot)) * best, f"rank {n} maximal-word listing")
     # state -> ((letter,), child) for its children on maximal paths, in increasing letter
-    # order; a state's longest extension fixes its depth, so the depths share no state
-    kids, depths = {}, [{0}]
+    # order; a state's longest extension fixes its depth, so the depths share no state,
+    # and no child of a state left + 1 from the end passes left, so ">= floor" is exact
+    letters = [((x,), bit, keep, mark) for x, (bit, keep, mark) in enumerate(steps, 1)]
+    kids, depths = {}, [[0]]
     for left in range(best - 1, -1, -1):
+        floor, below = 1 << left * slot, {}  # the next depth, a dict as an ordered set
         for s in depths[-1]:
-            blocked = (s >> n) | s
-            kids[s] = [
-                ((x,), child)
-                for x, (bit, keep, mark) in enumerate(steps, 1)
-                if not blocked & bit and (table[child := (s & keep) | mark].bit_length() - 1) // slot == left
-            ]
-        depths.append({child for s in depths[-1] for _, child in kids[s]})
+            blocked, kids[s] = (s >> n) | s, []
+            for x, bit, keep, mark in letters:
+                if not blocked & bit and table[child := (s & keep) | mark] >= floor:
+                    kids[s].append((x, child))
+                    below[child] = None
+        depths.append(below)
     heads = [((), 0)]
     for _ in range(best // 2):
         heads = [(p + x, child) for p, s in heads for x, child in kids[s]]
     tails = dict.fromkeys(depths.pop(), [()])
     for states in reversed(depths[best // 2 :]):
         tails = {s: [x + t for x, child in kids[s] for t in tails[child]] for s in states}
-    words = tuple(p + t for p, s in heads for t in tails[s])
+    words = tuple([p + t for p, s in heads for t in tails[s]])
     return LongestCensus(rank=n, max_length=best, count=len(words), words=words)
 

@@ -82,8 +82,6 @@ TABLE_HEADER = "n,count,length_bound,lower_bound,prefix_upper_bound,km_upper_bou
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    import json
-
     from . import bounds, census
 
     # one row per rank, keyed in JSON order; big numbers are decimal strings
@@ -102,6 +100,8 @@ def cmd_table(args: argparse.Namespace) -> int:
             }
         )
     if args.format == "json":
+        import json
+
         sys.stdout.write(json.dumps(rows, indent=2) + "\n")
         return 0
     print(TABLE_HEADER)

@@ -354,6 +354,23 @@ def test_dataclasses_load_only_with_the_census(argv, loaded):
         assert proc.stdout.splitlines()[-1:] == ["False"], proc.stderr
 
 
+@pytest.mark.parametrize(
+    ("argv", "loaded"),
+    [
+        (["table", "--max-n", "3"], False),
+        (["table", "--max-n", "3", "--format", "json"], True),
+        (["count", "--rank", "3"], True),
+        (["verify", "--suite", "identities", "--max-n", "2"], True),
+    ],
+    ids=["table", "table-json", "count", "verify"],
+)
+def test_json_loads_only_with_json_output(argv, loaded):
+    # `table` prints CSV by default, so only its JSON branch and Census.to_json import json
+    code = "import sys\nfrom kiselman.cli import main\nmain(sys.argv[1:])\nprint('json' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=_package_env())
+    assert proc.stdout.splitlines()[-1:] == [str(loaded)], proc.stderr
+
+
 def test_cli_import_loads_no_dataclasses():
     code = "import sys, kiselman.cli\nprint('dataclasses' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_package_env())

@@ -1,5 +1,6 @@
 """How often a command rebuilds its work, counted by wrapping the builder,
-how often a certification or a reduction reads its transition table,
+how often a certification or a reduction reads its transition table, how
+often the maximal-word listing reads its census table,
 calls its owed-state pass or validates a word, how many links reach the
 oracle closure's finds, and how many canonical words the oracle walk
 reports.
@@ -16,7 +17,7 @@ import pytest
 from kiselman import census, cli, oracle, reduce
 from kiselman.oracle import certify_reducer
 from kiselman.reduce import KElement, canonical_form, multiply
-from kiselman.words import Word
+from kiselman.words import Word, _letter_masks
 from test_oracle import CERTIFY_PAIRS, STEP_CALLS
 from test_reduce import _counted_reads
 
@@ -48,6 +49,59 @@ def test_census_tables_built_per_command(argv, built, monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert len(tables) == built
+
+
+def _census_reads(monkeypatch) -> list:
+    # each table _extension_table returns, as a dict that counts its subscript reads
+    real, tables = census._extension_table, []
+
+    class Counted(dict):
+        reads = 0
+
+        def __getitem__(self, s):
+            self.reads += 1
+            return super().__getitem__(s)
+
+    def counted(n):
+        table, slot, steps = real(n)
+        tables.append(Counted(table))
+        return tables[-1], slot, steps
+
+    monkeypatch.setattr(census, "_extension_table", counted)
+    return tables
+
+
+def _unblocked_letters_by_state(n, words) -> dict:
+    # (ns, ng) -> its unblocked letters, for the state each proper prefix of a word ends in,
+    # stepped by the transition table alone
+    masks, unblocked = _letter_masks(n), {}
+    for word in words:
+        ns = ng = 0
+        for x in word:
+            if (ns, ng) not in unblocked:
+                unblocked[ns, ng] = sum(not (ns | ng) & masks[y][0] for y in range(1, n + 1))
+            bit, keep_ns, keep_ng = masks[x]
+            ns, ng = (ns & keep_ns) | bit, (ng & keep_ng) | bit
+    return unblocked
+
+
+# the distinct states of the maximal words' prefixes shorter than L(n), and the table
+# reads of longest_census(n), at ranks 1 to 7 and 9
+LONGEST_STATES = [1, 3, 6, 23, 16, 83, 36, 76]
+LONGEST_READS = [3, 6, 11, 42, 41, 228, 125, 337]
+
+
+@pytest.mark.parametrize(
+    "n,states,reads", [(n, s, r) for n, s, r in zip((1, 2, 3, 4, 5, 6, 7, 9), LONGEST_STATES, LONGEST_READS)]
+)
+def test_maximal_word_listing_reads_each_state_once(n, states, reads, monkeypatch):
+    # the law: two reads of the empty word's value, then one per unblocked letter of each
+    # state on a maximal prefix, since a state's longest extension fixes its depth
+    tables = _census_reads(monkeypatch)
+    words = census.longest_census(n).words
+    unblocked = _unblocked_letters_by_state(n, words)
+    assert [table.reads for table in tables] == [2 + sum(unblocked.values())]
+    assert (len(unblocked), tables[0].reads) == (states, reads)
 
 
 def test_reducer_suite_builds_one_closure_per_universe(monkeypatch, capsys):
