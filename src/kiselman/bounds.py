@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .words import _guard, length_bound
+from .words import _guard, _rank, length_bound
 
 __all__ = [
     "PI_UPPER",
@@ -41,26 +41,20 @@ def _weigh(bits: int, shift: int, what: str) -> None:
 
 
 def km_upper_bound(n: int) -> int:
-    """The crude upper bound 1 + n^L(n) on the number of canonical words."""
-    if n < 1:
-        raise ValueError(f"need rank >= 1, got {n}")
-    _weigh((3 if n % 2 else 2) * n.bit_length(), n // 2, f"rank {n} crude upper bound")
+    """The crude upper bound 1 + n^L(n) on the number of canonical words; 2 at rank 0, where 0^0 = 1."""
+    _weigh((3 if _rank(n) % 2 else 2) * n.bit_length(), n // 2, f"rank {n} crude upper bound")
     return 1 + n ** length_bound(n)
 
 
 def lower_bound(n: int) -> int:
     """The double-exponential lower bound 2^(2^ceil(n/2) - 1)."""
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
-    _weigh(1, (n + 1) // 2, f"rank {n} lower bound")
+    _weigh(1, (_rank(n) + 1) // 2, f"rank {n} lower bound")
     return 2 ** (2 ** ((n + 1) // 2) - 1)
 
 
 def maximal_multiset(n: int) -> dict[int, int]:
-    """Occurrence counts letter -> min(2^(i-1), 2^(n-i)); they sum to L(n)."""
-    if n < 1:
-        raise ValueError(f"need rank >= 1, got {n}")
-    _guard(n * n // 256, f"rank {n} maximal multiset")  # about n^2/4 bits, n^2/256 64-bit words
+    """Occurrence counts letter -> min(2^(i-1), 2^(n-i)); they sum to L(n), and are empty at rank 0."""
+    _guard(_rank(n) * n // 256, f"rank {n} maximal multiset")  # about n^2/4 bits, n^2/256 64-bit words
     return {i: min(2 ** (i - 1), 2 ** (n - i)) for i in range(1, n + 1)}
 
 
@@ -82,17 +76,13 @@ def prefix_upper_bound(n: int) -> int:
     valid for both parities.  The multinomial is at most n^L(n), and is
     weighed as that, with L(n) below 2 << n // 2 for even n, 3 << n // 2 for odd.
     """
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
-    _weigh((3 if n % 2 else 2) * n.bit_length(), n // 2, f"rank {n} prefix bound")
+    _weigh((3 if _rank(n) % 2 else 2) * n.bit_length(), n // 2, f"rank {n} prefix bound")
     return (length_bound(n) + 1) * multinomial(list(maximal_multiset(n).values()))
 
 
 def parity_cap(n: int) -> int:
     """The cap on 2|K_n| behind the parity limits: 64^(2^k) at n = 2k, 432^(2^k) at n = 2k+1."""
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
-    base = 432 if n % 2 else 64
+    base = 432 if _rank(n) % 2 else 64
     _weigh(base.bit_length(), n // 2, f"rank {n} parity cap")
     return base ** 2 ** (n // 2)
 
@@ -104,8 +94,7 @@ def scaled_log(n: int, count: int) -> str:
     bits and truncation at every step; odd n divides by sqrt(2) with isqrt.
     The string is never above the true value, nor more than one unit below its floor.
     """
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
+    _rank(n)
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     log2 = (2 * count).bit_length() - 1  # the integer part; 64 fractional bits follow

@@ -77,13 +77,13 @@ def _extension_table(n: int) -> tuple[dict[int, int], int, list[tuple[int, int, 
     children's values << slot).  The top slot is never zero, so
     (value.bit_length() - 1) // slot is the longest extension.  The guard weighs
     the counts the table can hold, n * 2^(n-1) + 1 states times L(n) + 1
-    lengths; a negative rank is a ValueError.
+    lengths; `_letter_masks` checks the rank first.
     """
     masks = _letter_masks(n)  # first: its guard, which BUDGET lifts, refuses ranks whose L(n) won't fit
     _guard((length_bound(n) + 1) * (n * 2**n // 2 + 1), f"rank {n} census table")
     # a count is at most |K_n|, under the paper's prefix bound, so no slot carries:
     # the width leans on that bound as L(n) does; tests check it on allowed ranks
-    slot = prefix_upper_bound(n).bit_length() + 1 if n else 2
+    slot = prefix_upper_bound(n).bit_length() + 1
     full, table = (1 << n) - 1, {}
     steps = [(bit, (keep_ns & full) << n | keep_ng & full, bit << n | bit) for bit, keep_ns, keep_ng in masks[1:]]
 
@@ -149,10 +149,9 @@ def longest_census(n: int) -> LongestCensus:
     order, and joins each prefix with its state's suffixes: sorted, as built.
     Reads the table 2 + sum times, the sum counting the unblocked letters of each
     distinct state a maximal prefix shorter than L(n) ends in: a state's longest
-    extension fixes its depth, so each state is visited once.
+    extension fixes its depth, so each state is visited once.  Rank 0 lists
+    the one empty word.
     """
-    if n < 1:
-        raise ValueError(f"need rank >= 1, got {n}")
     table, slot, steps = _extension_table(n)
     best = (table[0].bit_length() - 1) // slot
     # at most f = top coefficient heads, and per depth of tails at most f suffixes,

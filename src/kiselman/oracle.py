@@ -26,7 +26,7 @@ from itertools import accumulate, product, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from . import reduce
-from .words import _first_owed, _guard, _letter_masks
+from .words import _first_owed, _guard, _letter_masks, _rank
 
 __all__ = ["OracleCertification", "certify_reducer"]
 
@@ -116,10 +116,8 @@ def _closure(n: int, max_len: int, listed: bool = False) -> list[int]:
     position whose higher word is a root is one assignment; only the other
     links go through the path-halving finds of `_union`.
     """
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
-    if max_len < 0:
-        raise ValueError(f"length cap must be nonnegative, got {max_len}")
+    _rank(n)
+    _rank(max_len, "length cap")
     what = f"congruence closure over rank {n}, length <= {max_len}"
     # its longest words number at least 2^(b * max_len), b = (n // 2).bit_length(),
     # and its layout holds max_len + 1 powers, the larger weight at ranks 0 and 1

@@ -15,7 +15,7 @@ on all small ranks rather than assumed.
 
 from __future__ import annotations
 
-from .words import Word, _first_owed, _letter_masks, _Value, is_canonical
+from .words import Word, _first_owed, _letter_masks, _rank, _Value, is_canonical
 
 __all__ = ["KElement", "canonical_form", "multiply", "identity", "generators"]
 
@@ -76,4 +76,4 @@ def identity(rank: int) -> KElement:
 
 def generators(rank: int) -> list[KElement]:
     """The generator elements, one per letter, in increasing order."""
-    return [KElement(Word((x,), rank)) for x in range(1, rank + 1)]
+    return [KElement(Word((x,), rank)) for x in range(1, _rank(rank) + 1)]

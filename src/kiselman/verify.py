@@ -16,7 +16,7 @@ import math
 
 from . import SUITES, bounds
 from .reports import BoundReport
-from .words import Word, _guard, is_canonical, length_bound
+from .words import Word, _guard, _rank, is_canonical, length_bound
 
 __all__ = ["SUITES", "REDUCER_CHECKS", "run_suite", "failing", "warned"]
 
@@ -279,8 +279,7 @@ def run_suite(suite: str, max_n: int = 6) -> list[BoundReport]:
     """
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
-    if max_n < 0:
-        raise ValueError(f"rank must be nonnegative, got {max_n}")
+    _rank(max_n)
     names = SUITES if suite == "all" else (suite,)
     reports = {s: globals()[f"{s}_suite"](max_n) for s in sorted(names, key=lambda s: s != "structure")}
     return [r for s in names for r in reports[s]]

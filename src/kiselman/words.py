@@ -48,14 +48,22 @@ def _guard(cost: int, what: str, shift: int = 0) -> None:
         )
 
 
+def _rank(n: int, what: str = "rank") -> int:
+    """Return n if it is a nonnegative int, else raise a ValueError naming `what`: the one rank rule."""
+    # a bool or float is no rank, even one equal to an int
+    if type(n) is not int:
+        raise ValueError(f"{what} {n!r} is not an int")
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative, got {n}")
+    return n
+
+
 def length_bound(n: int) -> int:
     """Maximal possible length of a canonical word over rank n.
 
     Equals 2^(k+1) - 2 for n = 2k and 3*2^k - 2 for n = 2k+1.
     """
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
-    k, odd = divmod(n, 2)
+    k, odd = divmod(_rank(n), 2)
     return 3 * 2**k - 2 if odd else 2 ** (k + 1) - 2
 
 
@@ -102,11 +110,7 @@ class Word(_Value):
         self.__post_init__()  # looked up on the class, where a tracer may wrap it
 
     def __post_init__(self) -> None:
-        # a bool or float is no rank, even one equal to an int
-        if type(self.rank) is not int:
-            raise ValueError(f"rank {self.rank!r} is not an int")
-        if self.rank < 0:
-            raise ValueError(f"rank must be nonnegative, got {self.rank}")
+        _rank(self.rank)
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
         for x in self.letters:
@@ -160,9 +164,7 @@ def _letter_masks(n: int) -> tuple[tuple[int, int, int] | None, ...]:
     every call that checks or reduces a word, weighs the 64-bit words of its
     3n integers, about 2n^2 bits, and words a refusal only past BUDGET.
     """
-    if n < 0:
-        raise ValueError(f"rank must be nonnegative, got {n}")
-    cost = n * n // 32 + 3 * n
+    cost = _rank(n) * n // 32 + 3 * n
     if cost > BUDGET:
         _guard(cost, f"rank {n} transition table")
     return _build_letter_masks(n)

@@ -30,8 +30,8 @@ def test_km_upper_bound_values():
     assert km_upper_bound(1) == 2
     assert km_upper_bound(2) == 5
     assert km_upper_bound(3) == 1 + 3**4 == 82
-    with pytest.raises(ValueError):
-        km_upper_bound(0)
+    # rank 0 is an ordinary rank: 1 + 0^L(0) = 1 + 0^0
+    assert km_upper_bound(0) == 2
 
 
 def test_maximal_multiset():
@@ -189,16 +189,15 @@ def test_parity_cap():
 
 
 @pytest.mark.parametrize(
-    ("call", "message"),
-    [
-        (lambda: maximal_multiset(0), "need rank >= 1, got 0"),
-        (lambda: prefix_upper_bound(-1), "rank must be nonnegative, got -1"),
-    ],
+    ("call", "at_zero"),
+    [(maximal_multiset, {}), (prefix_upper_bound, 1)],
     ids=["maximal_multiset", "prefix_upper_bound"],
 )
-def test_argument_refusals(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        call()
+def test_argument_refusals(call, at_zero):
+    # rank 0 is an ordinary rank, with no letters and the one empty word; -1 is the first refused
+    assert call(0) == at_zero
+    with pytest.raises(ValueError, match="^rank must be nonnegative, got -1$"):
+        call(-1)
 
 
 def test_odd_exponent():

@@ -11,6 +11,7 @@ from kiselman import census, verify
 from kiselman.bounds import km_upper_bound, lower_bound, prefix_upper_bound
 from kiselman.census import (
     Census,
+    LongestCensus,
     _extension_table,
     count,
     iter_canonical,
@@ -301,15 +302,16 @@ def test_odd_structure_reports():
 
 
 @pytest.mark.parametrize(
-    ("call", "message"),
-    [
-        (lambda: longest_census(0), "need rank >= 1, got 0"),
-    ],
+    ("call", "at_zero"),
+    [(longest_census, LongestCensus(rank=0, max_length=0, count=1, words=((),)))],
     ids=["longest_census"],
 )
-def test_argument_refusals(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        call()
+def test_argument_refusals(call, at_zero):
+    # rank 0 is an ordinary rank, whose one word, the empty one, is its longest; -1 is the first refused
+    assert call(0) == at_zero
+    assert longest_census(0).count == count(0).by_length[0] == 1
+    with pytest.raises(ValueError, match="^rank must be nonnegative, got -1$"):
+        call(-1)
 
 
 def test_odd_structure_report_names_non_canonical_composites(monkeypatch):

@@ -4,6 +4,11 @@ from dataclasses import dataclass
 
 import pytest
 
+from kiselman import bounds
+from kiselman.census import count, iter_canonical, longest_census
+from kiselman.oracle import certify_reducer
+from kiselman.reduce import generators, identity
+from kiselman.verify import run_suite
 from kiselman.words import (
     CanonicalViolation,
     Word,
@@ -72,6 +77,47 @@ def test_length_bound_values():
 def test_length_bound_rejects_negative():
     with pytest.raises(ValueError):
         length_bound(-1)
+
+
+# every public entry that takes a rank, called with it, and the oracle's length cap;
+# each checks it before any other work
+RANKED = {
+    "length_bound": length_bound,
+    "Word": lambda n: Word((), n),
+    "identity": identity,
+    "generators": generators,
+    "km_upper_bound": bounds.km_upper_bound,
+    "lower_bound": bounds.lower_bound,
+    "maximal_multiset": bounds.maximal_multiset,
+    "prefix_upper_bound": bounds.prefix_upper_bound,
+    "parity_cap": bounds.parity_cap,
+    "scaled_log": lambda n: bounds.scaled_log(n, 5),
+    "count": count,
+    "longest_census": longest_census,
+    "iter_canonical": lambda n: list(iter_canonical(n)),
+    "certify_reducer": lambda n: certify_reducer(n, 3),
+    "certify_reducer-length-cap": lambda cap: certify_reducer(2, cap),
+    "run_suite": lambda n: run_suite("structure", n),
+}
+
+
+@pytest.mark.parametrize("entry", RANKED)
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        (-1, "must be nonnegative, got -1"),
+        (True, "True is not an int"),
+        (1.5, "1.5 is not an int"),
+        (3.0, "3.0 is not an int"),
+        ("3", "'3' is not an int"),
+    ],
+    ids=["negative", "bool", "float", "integral-float", "str"],
+)
+def test_every_entry_checks_its_rank_by_one_rule(entry, bad, message):
+    # a bool or float equal to a rank is no rank: it neither passes nor fails with a TypeError
+    what = "length cap" if entry.endswith("length-cap") else "rank"
+    with pytest.raises(ValueError, match=f"^{what} {message}$"):
+        RANKED[entry](bad)
 
 
 def test_word_roundtrip():
